@@ -32,9 +32,7 @@ from .speckle import (
     SpeckleConfig,
     SpeckleFrame,
     bucket_signal,
-    dump_samples,
     generate_frame,
-    load_samples,
     run_simulation,
 )
 from .theory import (

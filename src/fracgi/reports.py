@@ -17,6 +17,7 @@ import numpy as np
 
 from .moments import GhostImage
 from .objects import ObjectMask
+from .speckle import RNG_LAYOUT
 
 __all__ = [
     "ReportError",
@@ -32,7 +33,7 @@ __all__ = [
     "mask_digest",
 ]
 
-REPORT_VERSION = "1"
+REPORT_VERSION = "2"
 SWEEP_HEADER = "m,mu,nu,V,Rp_over_sqrtN,moment_finite,variance_finite"
 
 _PGM_MAXVAL = 65535
@@ -143,6 +144,7 @@ class RunReport:
     n_samples: int
     orders: tuple
     results: tuple
+    rng_layout: str = RNG_LAYOUT
     format_version: str = REPORT_VERSION
 
 
@@ -154,6 +156,7 @@ _REQUIRED_KEYS = (
     "n_samples",
     "orders",
     "results",
+    "rng_layout",
 )
 
 
@@ -185,6 +188,10 @@ def read_report(path) -> RunReport:
     for key in _REQUIRED_KEYS:
         if key not in payload:
             raise ReportSchemaError(f"report missing required key {key!r}")
+    if payload["rng_layout"] != RNG_LAYOUT:
+        raise ReportSchemaError(
+            f"unknown rng_layout {payload['rng_layout']!r} (expected {RNG_LAYOUT!r})"
+        )
     results = []
     for entry in payload["results"]:
         try:
@@ -198,5 +205,6 @@ def read_report(path) -> RunReport:
         n_samples=payload["n_samples"],
         orders=tuple(tuple(o) for o in payload["orders"]),
         results=tuple(results),
+        rng_layout=payload["rng_layout"],
         format_version=version,
     )

@@ -1,17 +1,16 @@
 """Ideal pseudo-thermal speckle frames and bucket signals.
 
 Per-unit intensities are i.i.d. negative-exponential with mean I_0; the
-bucket signal is the transmittance-weighted sum over units. Frame j is a
-pure function of (seed, j), so any parallel schedule reproduces the same
-sample set bit for bit.
+bucket signal is the transmittance-weighted sum over units. Frame j of an
+n-unit source is the uniforms at positions [j*n, (j+1)*n) of the single
+counter-based stream Philox(key=seed), so frame j is a pure function of
+(seed, j), any batch of frames is one bulk draw, and any parallel schedule
+reproduces the same sample set bit for bit.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -20,21 +19,23 @@ from .objects import ObjectMask
 
 __all__ = [
     "TINY_INTENSITY",
+    "RNG_LAYOUT",
     "SpeckleConfig",
     "SpeckleFrame",
     "SampleSet",
     "generate_frame",
     "bucket_signal",
     "run_simulation",
-    "dump_samples",
-    "load_samples",
 ]
 
 # clamp floor for intensities: smallest positive normal double, so that
 # negative-order powers never see log(0)
 TINY_INTENSITY = float(np.finfo(np.float64).tiny)
 
-_COUNTER_SHIFT = 192  # frame index keyed into the high Philox counter word
+# name of the frame-to-stream layout, recorded in run reports
+RNG_LAYOUT = "philox-stream"
+
+_PHILOX_BLOCK = 4  # 64-bit outputs per Philox counter value
 
 
 @dataclass(frozen=True)
@@ -63,54 +64,32 @@ class SpeckleFrame:
     bucket: float
 
 
-def _frame_bitgen(seed: int, frame_index: int) -> np.random.Philox:
-    # counter-based substream: disjoint counter blocks per frame index
-    return np.random.Philox(key=seed, counter=frame_index << _COUNTER_SHIFT)
+def _intensity_block(config: SpeckleConfig, start: int, count: int) -> np.ndarray:
+    """Reference intensities of frames [start, start + count), one row each.
+
+    Frame j takes the doubles at stream positions [j*n, (j+1)*n); a
+    Philox counter value c yields positions [4c, 4c + 4), so the draw
+    starts at counter (start*n)//4 and skips the remainder. Exponential
+    sampling by inverse CDF, -i0*log(1-u) with u in [0, 1), so the
+    argument stays in (0, 1]; exact zeros and underflows clamp to the
+    smallest positive normal intensity. The transform runs in place: a
+    batch holds one array of its size.
+    """
+    block, skip = divmod(start * config.n, _PHILOX_BLOCK)
+    bitgen = np.random.Philox(key=config.seed, counter=block)
+    bitgen.random_raw(skip, output=False)
+    out = np.random.Generator(bitgen).random((count, config.n))
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    out *= -config.i0
+    return np.maximum(out, TINY_INTENSITY, out=out)
 
 
 def generate_frame(config: SpeckleConfig, frame_index: int) -> np.ndarray:
-    """Draw the n reference intensities of one frame.
-
-    Exponential sampling by inverse CDF, -i0*log(1-u) with u in [0, 1),
-    so the argument stays in (0, 1]; exact zeros and underflows clamp to
-    the smallest positive normal intensity.
-    """
+    """Draw the n reference intensities of one frame."""
     if frame_index < 0:
         raise ValueError("frame_index must be nonnegative")
-    gen = np.random.Generator(_frame_bitgen(config.seed, frame_index))
-    u = gen.random(config.n)
-    out = -config.i0 * np.log1p(-u)
-    return np.maximum(out, TINY_INTENSITY)
-
-
-class _FrameSource:
-    """Reusable frame generator; bitwise-identical to generate_frame but
-    avoids per-frame Generator construction."""
-
-    def __init__(self, config: SpeckleConfig):
-        self._config = config
-        self._bitgen = np.random.Philox(key=config.seed)
-        self._gen = np.random.Generator(self._bitgen)
-
-    def uniforms(self, frame_index: int) -> np.ndarray:
-        state = self._bitgen.state
-        state["state"]["counter"][:] = 0
-        state["state"]["counter"][3] = frame_index
-        state["buffer_pos"] = 4  # drop buffered outputs from the previous frame
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bitgen.state = state
-        return self._gen.random(self._config.n)
-
-    def intensities(self, frame_index: int) -> np.ndarray:
-        out = -self._config.i0 * np.log1p(-self.uniforms(frame_index))
-        return np.maximum(out, TINY_INTENSITY)
-
-    def block(self, start: int, count: int) -> np.ndarray:
-        out = np.empty((count, self._config.n))
-        for row in range(count):
-            out[row] = self.intensities(start + row)
-        return out
+    return _intensity_block(config, frame_index, 1)[0]
 
 
 def _compensated_weighted_sum(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -181,11 +160,10 @@ class SampleSet:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         stop = self.n_frames if stop is None else stop
-        source = _FrameSource(self.config)
         weights = self.mask.units
         for first in range(start, stop, batch_size):
             count = min(batch_size, stop - first)
-            refs = source.block(first, count)
+            refs = _intensity_block(self.config, first, count)
             buckets = _compensated_weighted_sum(refs, weights)
             yield first, refs, buckets
 
@@ -201,35 +179,3 @@ def run_simulation(config: SpeckleConfig, mask: ObjectMask, n_frames: int) -> Sa
     """Forward model: N frames of reference intensities with bucket values."""
     return SampleSet(config=config, mask=mask, n_frames=n_frames)
 
-
-# ---------------------------------------------------------------------------
-# raw sample dump: one JSON header line, then little-endian binary records
-# (frame_index u64, bucket f64, n reference f64)
-
-
-def dump_samples(samples: SampleSet, path) -> None:
-    header = {
-        "n": samples.config.n,
-        "n_frames": samples.n_frames,
-        "i0": samples.config.i0,
-        "seed": int(samples.config.seed),
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for first, refs, buckets in samples.iter_batches():
-            for row in range(refs.shape[0]):
-                fh.write(struct.pack("<Qd", first + row, buckets[row]))
-                fh.write(refs[row].astype("<f8").tobytes())
-
-
-def load_samples(path) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Read a sample dump; returns (header, frame_indices+buckets, references)."""
-    raw = Path(path).read_bytes()
-    nl = raw.index(b"\n")
-    header = json.loads(raw[:nl].decode("utf-8"))
-    n, n_frames = header["n"], header["n_frames"]
-    record = np.dtype([("index", "<u8"), ("bucket", "<f8"), ("reference", "<f8", (n,))])
-    body = np.frombuffer(raw[nl + 1 :], dtype=record)
-    if body.size != n_frames:
-        raise ValueError(f"sample dump holds {body.size} records, header says {n_frames}")
-    return header, body[["index", "bucket"]], np.ascontiguousarray(body["reference"])

@@ -160,10 +160,29 @@ def test_report_version_rejected(tmp_path):
     path = tmp_path / "report.json"
     write_report(sample_report(), path)
     payload = json.loads(path.read_text())
-    payload["format_version"] = "2"
+    # version "1" reports came from the per-frame substream sampler
+    payload["format_version"] = "1"
     path.write_text(json.dumps(payload))
     with pytest.raises(ReportVersionError):
         read_report(path)
+
+
+def test_report_records_rng_layout(tmp_path):
+    path = tmp_path / "report.json"
+    write_report(sample_report(), path)
+    payload = json.loads(path.read_text())
+    assert payload["rng_layout"] == "philox-stream"
+    assert payload["format_version"] == "2"
+    payload["rng_layout"] = "philox-substreams"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ReportSchemaError) as err:
+        read_report(path)
+    assert "rng_layout" in str(err.value)
+    del payload["rng_layout"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ReportSchemaError) as err:
+        read_report(path)
+    assert "rng_layout" in str(err.value)
 
 
 def test_report_missing_key_named(tmp_path):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fracgi.moments import MomentOrder, multi_order_pass
 from fracgi.objects import ObjectMask, letter_a_mask
 from fracgi.speckle import (
+    TINY_INTENSITY,
     SampleSet,
     SpeckleConfig,
     bucket_signal,
-    dump_samples,
     generate_frame,
-    load_samples,
     run_simulation,
 )
 from fracgi.theory import ErlangModel
@@ -173,31 +173,61 @@ def test_reiteration_is_identical():
     assert first == second
 
 
-# -- raw sample dump ---------------------------------------------------------
+# -- stream layout -----------------------------------------------------------
 
 
-def test_dump_round_trip(tmp_path):
-    mask = ObjectMask(width=4, height=1, units=np.array([1.0, 0.0, 0.5, 1.0]))
-    cfg = config(n=4, i0=1.5, seed=33)
-    samples = run_simulation(cfg, mask, 25)
-    path = tmp_path / "samples.bin"
-    dump_samples(samples, path)
-    header, meta, refs = load_samples(path)
-    assert header == {"n": 4, "n_frames": 25, "i0": 1.5, "seed": 33}
-    assert meta["index"].tolist() == list(range(25))
-    for j in (0, 11, 24):
-        assert np.array_equal(refs[j], generate_frame(cfg, j))
-        assert meta["bucket"][j] == bucket_signal(refs[j], mask)
+def stream_frames(cfg, start, count, anchor=0):
+    """Frames [start, start + count) cut from one Generator(Philox(key=seed))
+    stream read from Philox counter ``anchor`` on (stream position 4*anchor)."""
+    skip = start * cfg.n - 4 * anchor
+    assert skip >= 0
+    gen = np.random.Generator(np.random.Philox(key=cfg.seed, counter=anchor))
+    u = gen.random(skip + count * cfg.n)[skip:].reshape(count, cfg.n)
+    return np.maximum(-cfg.i0 * np.log1p(-u), TINY_INTENSITY)
 
 
-def test_dump_is_little_endian(tmp_path):
-    mask = ObjectMask(width=1, height=1, units=np.array([1.0]))
-    samples = run_simulation(config(n=1, seed=1), mask, 2)
-    path = tmp_path / "s.bin"
-    dump_samples(samples, path)
-    raw = path.read_bytes()
-    header_end = raw.index(b"\n") + 1
-    # second record's index field: frame 1 as little-endian u64
-    record_size = 8 + 8 + 8
-    idx_bytes = raw[header_end + record_size : header_end + record_size + 8]
-    assert int.from_bytes(idx_bytes, "little") == 1
+def batch_frames(cfg, start, count, batch_size):
+    mask = ObjectMask(width=cfg.n, height=1, units=np.ones(cfg.n))
+    samples = SampleSet(config=cfg, mask=mask, n_frames=start + count)
+    batches = list(samples.iter_batches(batch_size, start, start + count))
+    assert [first for first, _, _ in batches] == list(range(start, start + count, batch_size))
+    return np.concatenate([refs for _, refs, _ in batches])
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 49, 4096])
+@pytest.mark.parametrize("start,count", [(0, 5), (3, 7), (11, 1), (13, 9)])
+def test_frames_are_one_philox_stream(n, start, count):
+    cfg = config(n=n, i0=1.5, seed=2**64 - 5)
+    expected = stream_frames(cfg, start, count)
+    assert np.array_equal(batch_frames(cfg, start, count, batch_size=3), expected)
+    for row in range(count):
+        assert np.array_equal(generate_frame(cfg, start + row), expected[row])
+
+
+@pytest.mark.parametrize("n", [1, 7, 49])
+def test_stream_layout_past_64bit_counter(n):
+    # start*n is about 2**66, and the rows cross the carry of the low
+    # 64-bit counter word into the next one
+    anchor = 2**64 - 2
+    start, count = 4 * anchor // n + 1, 9
+    assert start * n > 2**64
+    cfg = config(n=n, seed=77)
+    expected = stream_frames(cfg, start, count, anchor=anchor)
+    assert np.array_equal(batch_frames(cfg, start, count, batch_size=4), expected)
+    assert np.array_equal(generate_frame(cfg, start + count - 1), expected[-1])
+
+
+def test_multi_order_pass_identical_for_uneven_shards():
+    # shard_size is not a multiple of the pass's internal batch size, so
+    # each shard draws its frames in batches that start mid-stream
+    mask = letter_a_mask()
+    samples = run_simulation(config(n=mask.n, seed=31), mask, 7_000)
+    orders = [MomentOrder(mu, 0.5) for mu in (-1.414, 0.618)]
+    one, two, three = (
+        multi_order_pass(samples, orders, workers=w, shard_size=3001) for w in (1, 2, 3)
+    )
+    for a, b, c in zip(one, two, three):
+        for field in ("g", "joint_mean", "joint2_mean", "ref_mean"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+            assert np.array_equal(getattr(a, field), getattr(c, field))
+        assert a.bucket_mean == b.bucket_mean == c.bucket_mean
