@@ -30,7 +30,6 @@ from .objects import (
 from .speckle import (
     SampleSet,
     SpeckleConfig,
-    SpeckleFrame,
     bucket_signal,
     generate_frame,
     run_simulation,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .speckle import SampleSet, SpeckleFrame, TINY_INTENSITY
+from .speckle import SampleSet, TINY_INTENSITY
 
 __all__ = [
     "OrderDomainError",
@@ -155,15 +155,10 @@ class MomentAccumulator:
 
     # -- updates ------------------------------------------------------------
 
-    def update(self, frame: SpeckleFrame) -> "MomentAccumulator":
-        """Accumulate one frame."""
-        if frame.reference.shape != (self.n_pixels,):
-            raise ValueError("frame size does not match accumulator")
-        self.update_batch(frame.reference[None, :], np.array([frame.bucket]))
-        return self
-
     def update_batch(self, references: np.ndarray, buckets: np.ndarray) -> None:
         """Accumulate a block of frames (rows of ``references``)."""
+        if references.ndim != 2 or references.shape[1] != self.n_pixels:
+            raise ValueError("frame size does not match accumulator")
         ref_pow = _power(references, self.order.nu)
         self._update_with_ref_powers(ref_pow, buckets)
 

@@ -21,7 +21,6 @@ __all__ = [
     "TINY_INTENSITY",
     "RNG_LAYOUT",
     "SpeckleConfig",
-    "SpeckleFrame",
     "SampleSet",
     "generate_frame",
     "bucket_signal",
@@ -53,15 +52,6 @@ class SpeckleConfig:
             raise ValueError("unit count n must be at least 1")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-
-
-@dataclass(frozen=True)
-class SpeckleFrame:
-    """One speckle realization: reference intensities plus bucket value."""
-
-    index: int
-    reference: np.ndarray
-    bucket: float
 
 
 def _intensity_block(config: SpeckleConfig, start: int, count: int) -> np.ndarray:
@@ -128,7 +118,7 @@ def bucket_signal(reference: np.ndarray, mask: ObjectMask) -> float:
 class SampleSet:
     """Deterministic stream of N speckle frames with buckets attached.
 
-    Re-iterable; every pass regenerates identical frames.
+    Re-iterable in batches; every pass regenerates identical frames.
     """
 
     config: SpeckleConfig
@@ -143,15 +133,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return self.n_frames
-
-    def __iter__(self) -> Iterator[SpeckleFrame]:
-        for start, refs, buckets in self.iter_batches():
-            for row in range(refs.shape[0]):
-                yield SpeckleFrame(
-                    index=start + row,
-                    reference=refs[row],
-                    bucket=float(buckets[row]),
-                )
 
     def iter_batches(
         self, batch_size: int = 2048, start: int = 0, stop: int | None = None

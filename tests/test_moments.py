@@ -14,12 +14,13 @@ from fracgi.moments import (
     multi_order_pass,
 )
 from fracgi.objects import ObjectMask, classify_units, letter_a_mask
-from fracgi.speckle import SpeckleConfig, SpeckleFrame, run_simulation
+from fracgi.speckle import SpeckleConfig, run_simulation
 from fracgi.theory import moment_background, moment_signal
 
 
-def frame(reference, bucket, index=0):
-    return SpeckleFrame(index=index, reference=np.asarray(reference, float), bucket=bucket)
+def frame(reference, bucket):
+    """One frame as a one-row batch: (references, buckets)."""
+    return np.asarray([reference], float), np.array([bucket], float)
 
 
 # -- order validation --------------------------------------------------------
@@ -56,7 +57,7 @@ def test_positive_nu_no_warning():
 
 def test_accumulate_integer_orders():
     acc = MomentAccumulator(1, MomentOrder(mu=1.0, nu=1.0))
-    acc.update(frame([3.0], 2.0))
+    acc.update_batch(*frame([3.0], 2.0))
     assert acc.joint_sum[0] == pytest.approx(6.0)
     assert acc.bucket_sum == pytest.approx(2.0)
     assert acc.ref_sum[0] == pytest.approx(3.0)
@@ -66,26 +67,26 @@ def test_accumulate_integer_orders():
 
 def test_accumulate_negative_mu():
     acc = MomentAccumulator(1, MomentOrder(mu=-1.0, nu=1.0))
-    acc.update(frame([3.0], 2.0))
+    acc.update_batch(*frame([3.0], 2.0))
     assert acc.joint_sum[0] == pytest.approx(1.5)
 
 
 def test_accumulate_unit_powers():
     acc = MomentAccumulator(1, MomentOrder(mu=0.618, nu=0.5))
-    acc.update(frame([1.0], 1.0))
+    acc.update_batch(*frame([1.0], 1.0))
     assert acc.joint_sum[0] == pytest.approx(1.0)
 
 
 def test_power_overflow_raises():
     acc = MomentAccumulator(1, MomentOrder(mu=-3.0, nu=0.5))
     with pytest.raises(OrderDomainError):
-        acc.update(frame([1.0], 1e-300))
+        acc.update_batch(*frame([1.0], 1e-300))
 
 
 def test_frame_size_mismatch():
     acc = MomentAccumulator(2, MomentOrder(mu=1.0, nu=1.0))
     with pytest.raises(ValueError):
-        acc.update(frame([1.0], 1.0))
+        acc.update_batch(*frame([1.0], 1.0))
 
 
 # -- merge associativity -----------------------------------------------------
@@ -105,18 +106,18 @@ def test_frame_size_mismatch():
 )
 def test_merge_matches_serial(rows, data):
     order = MomentOrder(mu=1.414, nu=0.5)
-    frames = [frame([a, b], c, i) for i, (a, b, c) in enumerate(rows)]
+    frames = [frame([a, b], c) for a, b, c in rows]
 
     serial = MomentAccumulator(2, order)
     for f in frames:
-        serial.update(f)
+        serial.update_batch(*f)
 
     cut = data.draw(st.integers(min_value=1, max_value=len(frames) - 1))
     left, right = MomentAccumulator(2, order), MomentAccumulator(2, order)
     for f in frames[:cut]:
-        left.update(f)
+        left.update_batch(*f)
     for f in frames[cut:]:
-        right.update(f)
+        right.update_batch(*f)
     left.merge(right)
 
     assert left.n_seen == serial.n_seen
@@ -138,7 +139,7 @@ def test_merge_shape_mismatch():
 
 def test_finalize_requires_two_frames():
     acc = MomentAccumulator(1, MomentOrder(mu=1.0, nu=1.0))
-    acc.update(frame([1.0], 1.0))
+    acc.update_batch(*frame([1.0], 1.0))
     with pytest.raises(ValueError):
         acc.finalize()
 
@@ -146,8 +147,8 @@ def test_finalize_requires_two_frames():
 def test_finalize_normalization():
     order = MomentOrder(mu=1.0, nu=1.0)
     acc = MomentAccumulator(1, order)
-    acc.update(frame([2.0], 4.0))
-    acc.update(frame([1.0], 3.0))
+    acc.update_batch(*frame([2.0], 4.0))
+    acc.update_batch(*frame([1.0], 3.0))
     image = acc.finalize()
     # g = mean(joint) / (mean(bucket)*mean(ref)) = 5.5 / (3.5 * 1.5)
     assert image.g[0] == pytest.approx(5.5 / 5.25)
@@ -169,8 +170,8 @@ def test_multi_order_matches_manual_accumulation(small_run):
     order = MomentOrder(mu=0.618, nu=0.5)
     (image,) = multi_order_pass(samples, [order], shard_size=1024)
     manual = MomentAccumulator(mask.n, order)
-    for f in samples:
-        manual.update(f)
+    for _, refs, buckets in samples.iter_batches():
+        manual.update_batch(refs, buckets)
     expected = manual.finalize(mask.width, mask.height)
     np.testing.assert_allclose(image.joint_mean, expected.joint_mean, rtol=1e-12)
     np.testing.assert_allclose(image.g, expected.g, rtol=1e-12)

@@ -130,9 +130,9 @@ def test_bucket_partial_sum_bound():
     # I_B >= t_i * I_i for every unit (support constraint of the joint law)
     mask = ObjectMask(width=6, height=1, units=np.array([0.1, 0.9, 1.0, 0.0, 0.5, 0.3]))
     cfg = config(n=6, seed=9)
-    for frame in run_simulation(cfg, mask, 200):
-        slack = frame.bucket - mask.units * frame.reference
-        assert slack.min() > -1e-12 * frame.bucket
+    for _, refs, buckets in run_simulation(cfg, mask, 200).iter_batches():
+        slack = buckets[:, None] - mask.units * refs
+        assert np.all(slack.min(axis=1) > -1e-12 * buckets)
 
 
 def test_mean_bucket_matches_weighted_sum():
@@ -150,9 +150,11 @@ def test_mean_bucket_matches_weighted_sum():
 def test_single_frame_run():
     mask = letter_a_mask()
     samples = run_simulation(config(n=mask.n), mask, 1)
-    frames = list(samples)
-    assert len(frames) == 1
-    assert frames[0].index == 0
+    batches = list(samples.iter_batches())
+    assert len(batches) == 1
+    first, refs, buckets = batches[0]
+    assert first == 0
+    assert refs.shape == (1, mask.n) and buckets.shape == (1,)
 
 
 def test_invalid_counts():
@@ -168,9 +170,9 @@ def test_invalid_counts():
 def test_reiteration_is_identical():
     mask = letter_a_mask()
     samples = run_simulation(config(n=mask.n, seed=8), mask, 64)
-    first = [f.bucket for f in samples]
-    second = [f.bucket for f in samples]
-    assert first == second
+    first = np.concatenate([b for _, _, b in samples.iter_batches(batch_size=10)])
+    second = np.concatenate([b for _, _, b in samples.iter_batches(batch_size=10)])
+    assert np.array_equal(first, second)
 
 
 # -- stream layout -----------------------------------------------------------

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
+import fracgi
 from fracgi.objects import ObjectMask, letter_a_mask
 from fracgi.theory import (
     DomainError,
@@ -34,6 +39,18 @@ GAMMA_3_2 = 0.886226925452758
 RP_20_1_1_120K = 14.49681407115578         # sqrt(120000/571) by Gamma recurrence
 GRAY_SIGNAL_FRACTIONAL = 1.284846685375186  # E[(X+Y/2)^0.618 Y^0.5], 30-digit 2D quadrature
 GRAY_BACKGROUND_FRACTIONAL = 1.1713501485772135  # E[X^0.618]*Gamma(3/2), same oracle
+GRAY_PIXEL0_NEG = 2.1687164685584478  # GRAY pixel 0, mu=-2.5 nu=0.5, mpmath 30 digits
+# 4x4 blob of scripts/grayscale_demo.py at mu=-1.414 nu=0.5, one pixel per level:
+# (pixel, value), mpmath 30-digit Laplace-transform integral
+BLOB_UNITS = np.array(
+    [0.0, 0.25, 0.25, 0.0, 0.25, 1.0, 1.0, 0.25, 0.25, 1.0, 1.0, 0.25, 0.0, 0.5, 0.5, 0.0]
+)
+BLOB_NEGATIVE_ORDER = {
+    0.0: (0, 0.07688191183068889),
+    0.25: (1, 0.07432177159145452),
+    0.5: (13, 0.07215192656830781),
+    1.0: (5, 0.06857265561274146),
+}
 
 GRAY = ObjectMask(width=3, height=1, units=np.array([0.2, 0.5, 1.0]))
 
@@ -323,21 +340,21 @@ def test_clustered_poles_fall_back_to_inversion():
     np.testing.assert_allclose(model.cdf(xs), limit.cdf(xs), rtol=1e-4)
 
 
-# -- general moments by quadrature -------------------------------------------
+# -- general moments from the Laplace transform ------------------------------
 
 
 @pytest.mark.parametrize("mu", [-2.7183, -1.414, -0.618, 0.618, 1.414, 2.7183])
 def test_moment_general_binary_signal(mu):
     mask = letter_a_mask()
     got = moment_general(mask, 3, mu, 0.5)  # pixel 3 is a t=1 unit
-    assert got == pytest.approx(moment_signal(20, mu, 0.5), rel=1e-6)
+    assert got == pytest.approx(moment_signal(20, mu, 0.5), rel=1e-10)
 
 
 @pytest.mark.parametrize("mu", [-2.7183, -0.618, 1.414])
 def test_moment_general_binary_background(mu):
     mask = letter_a_mask()
     got = moment_general(mask, 0, mu, 0.5)  # pixel 0 is a t=0 unit
-    assert got == pytest.approx(moment_background(20, mu, 0.5), rel=1e-6)
+    assert got == pytest.approx(moment_background(20, mu, 0.5), rel=1e-10)
 
 
 def test_moment_general_grayscale_integer_orders():
@@ -377,15 +394,56 @@ def test_moment_general_monte_carlo_cross_check():
 def test_moment_general_preconditions():
     with pytest.raises(DomainError):
         moment_general(GRAY, 1, 1.0, -1.5)  # nu <= -1
+    # finite: 2 other units + (1+nu) of the pixel itself exceed 2.5
+    assert moment_general(GRAY, 0, -2.5, 0.5) == pytest.approx(GRAY_PIXEL0_NEG, rel=1e-10)
     with pytest.raises(DomainError):
-        moment_general(GRAY, 0, -2.5, 0.5)  # reduced-mask bucket moment diverges
+        moment_general(GRAY, 0, -3.6, 0.5)  # 2 + 1.5 - 3.6 <= 0: diverges
+    with pytest.raises(DomainError):
+        moment_general(GRAY, 3, 1.0, 0.5)  # pixel out of range
+    with pytest.raises(DomainError):
+        moment_general(GRAY, 1, 1.0, 0.5, i0=0.0)  # no mean intensity
     zero = ObjectMask(width=2, height=1, units=np.zeros(2))
     with pytest.raises(DomainError):
         moment_general(zero, 0, 1.0, 0.5)  # bucket identically zero
 
 
-def test_moment_general_ladder_exhaustion_is_reported():
-    # nearly-divergent order on a two-unit mask: algebraic decay too slow
+def test_moment_general_near_divergent_order():
+    # two units at mu=-1.9: s^-mu phi(s) falls off only like s^-0.1
     mask = ObjectMask(width=3, height=1, units=np.array([1.0, 1.0, 0.0]))
+    got = moment_general(mask, 2, -1.9, 0.5)
+    assert got == pytest.approx(moment_background(2, -1.9, 0.5), rel=1e-10)
+
+
+@pytest.mark.parametrize("level", sorted(BLOB_NEGATIVE_ORDER))
+def test_moment_general_blob_negative_order(level):
+    pixel, expected = BLOB_NEGATIVE_ORDER[level]
+    blob = ObjectMask(width=4, height=4, units=BLOB_UNITS)
+    assert blob.units[pixel] == level
+    assert moment_general(blob, pixel, -1.414, 0.5) == pytest.approx(expected, rel=1e-10)
+
+
+def test_moment_general_large_six_level_mask():
+    units = np.random.default_rng(0).choice([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], size=4096)
+    mask = ObjectMask(width=64, height=64, units=units)
+    for pixel in (0, 1, 2):
+        # E[I_B I_i] = I0^2 (sum_j t_j + t_i)
+        got = moment_general(mask, pixel, 1.0, 1.0, i0=1.5)
+        assert got == pytest.approx(1.5**2 * (units.sum() + units[pixel]), rel=1e-10)
+        assert math.isfinite(moment_general(mask, pixel, 0.618, 0.5))
+
+
+def test_moment_general_failures_are_typed():
+    # the only exceptions are DomainError and QuadratureError, never a bare
+    # OverflowError, even where the moment exceeds a double
     with pytest.raises(QuadratureError):
-        moment_general(mask, 2, -1.9, 0.5)
+        moment_general(GRAY, 0, 400.0, 0.5)
+    with pytest.raises(DomainError):
+        moment_general(GRAY, 0, math.inf, 0.5)
+
+
+def test_import_does_not_load_quadrature():
+    # scipy.integrate is imported by moment_general on first use only, and
+    # no scipy.linalg user is left
+    src = str(Path(fracgi.__file__).parents[1])
+    code = "import sys, fracgi; assert not {'scipy.integrate', 'scipy.linalg'} & set(sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
