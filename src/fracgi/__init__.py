@@ -7,10 +7,8 @@ moments, visibility, and peak SNR.
 """
 
 from .metrics import (
-    ClassMomentStats,
     ImageMetrics,
-    class_moment_stats,
-    class_moment_stats_multi,
+    class_average_matrix,
     empirical_peak_snr,
     empirical_visibility,
     image_metrics,

@@ -5,7 +5,10 @@ Both metrics compare the raw-moment levels of the t=1 (signal) and t=0
 excluded (their count is reported). Under the i.i.d. speckle model all
 pixels of a class are exchangeable, so class pooling uses every frame and
 pixel while the per-frame class mean captures the cross-pixel correlation
-induced by the shared bucket value.
+induced by the shared bucket value. ``class_average_matrix`` gives
+``moments.multi_order_pass`` the two class-averaging columns, so the
+class-pooled moments and their standard errors come from the same
+streaming pass as the images.
 """
 
 from __future__ import annotations
@@ -15,22 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import GhostImage, MomentOrder, _power
+from .moments import GhostImage
 from .objects import UnitClasses
-from .speckle import SampleSet
 
 __all__ = [
     "MetricsError",
     "ImageMetrics",
-    "ClassMomentStats",
+    "CLASS_COLUMNS",
     "empirical_visibility",
     "empirical_peak_snr",
     "image_metrics",
-    "class_moment_stats",
-    "class_moment_stats_multi",
+    "class_average_matrix",
 ]
 
-_BATCH_SIZE = 2048
+# column labels of class_average_matrix
+CLASS_COLUMNS = ("signal", "background")
 
 
 class MetricsError(ValueError):
@@ -49,11 +51,15 @@ class ImageMetrics:
     excluded_fractional: int
 
 
-def _class_means(values: np.ndarray, classes: UnitClasses) -> tuple[float, float]:
+def _require_both_classes(classes: UnitClasses) -> None:
     if classes.one_units.size == 0:
         raise MetricsError("empty signal class (no t=1 pixels)")
     if classes.zero_units.size == 0:
         raise MetricsError("empty background class (no t=0 pixels)")
+
+
+def _class_means(values: np.ndarray, classes: UnitClasses) -> tuple[float, float]:
+    _require_both_classes(classes)
     return (
         float(values[classes.one_units].mean()),
         float(values[classes.zero_units].mean()),
@@ -96,104 +102,12 @@ def image_metrics(image: GhostImage, classes: UnitClasses) -> ImageMetrics:
     )
 
 
-@dataclass(frozen=True)
-class ClassMomentStats:
-    """Per-class raw-moment estimates with exact standard errors.
-
-    The estimate for a class is the N-frame average of the per-frame class
-    mean y_f = mean_i I_B^mu I_i^nu over the class pixels; its standard
-    error std(y_f)/sqrt(N) accounts for the cross-pixel correlation from
-    the shared bucket, which naive per-pixel pooling would miss.
-    """
-
-    order: MomentOrder
-    n_samples: int
-    joint_mean: dict
-    joint_se: dict
-    ref_mean: dict
-    bucket_mean: float
-
-    def g(self, label: str) -> float:
-        """Class-level normalized moment."""
-        return self.joint_mean[label] / (self.bucket_mean * self.ref_mean[label])
-
-    def g_se(self, label: str) -> float:
-        """Standard error of the class g (raw-moment error scaled by the
-        normalization; denominator noise neglected, which overestimates)."""
-        return self.joint_se[label] / (self.bucket_mean * self.ref_mean[label])
-
-
-def class_moment_stats(
-    samples: SampleSet,
-    classes: UnitClasses,
-    order: MomentOrder,
-    pair_shift: int = 0,
-) -> ClassMomentStats:
-    """Streaming class-pooled raw-moment statistics for one order pair.
-
-    ``pair_shift`` pairs references with the bucket of a different frame
-    (decorrelation null)."""
-    return class_moment_stats_multi(samples, classes, [order], pair_shift)[0]
-
-
-def class_moment_stats_multi(
-    samples: SampleSet,
-    classes: UnitClasses,
-    orders: list[MomentOrder],
-    pair_shift: int = 0,
-) -> list[ClassMomentStats]:
-    """One streaming pass computing class statistics for several orders."""
-    groups = {"signal": classes.one_units, "background": classes.zero_units}
-    groups = {k: v for k, v in groups.items() if v.size > 0}
-    if not groups:
-        raise MetricsError("mask has neither exact-1 nor exact-0 pixels")
-    if not orders:
-        raise MetricsError("at least one order pair required")
-
-    n = samples.n_frames
-    shifted = None
-    if pair_shift % n != 0:
-        shifted = np.roll(samples.buckets(_BATCH_SIZE), -(pair_shift % n))
-
-    sums = [{k: 0.0 for k in groups} for _ in orders]
-    sums_sq = [{k: 0.0 for k in groups} for _ in orders]
-    ref_sums = [{k: 0.0 for k in groups} for _ in orders]
-    bucket_sums = [0.0 for _ in orders]
-    distinct_nu = sorted({o.nu for o in orders})
-    for first, refs, buckets in samples.iter_batches(_BATCH_SIZE):
-        if shifted is not None:
-            buckets = shifted[first : first + buckets.size]
-        # per-frame class means of I_i^nu, shared across orders with equal nu
-        class_means = {
-            (nu, label): _power(refs[:, idx], nu).mean(axis=1)
-            for nu in distinct_nu
-            for label, idx in groups.items()
-        }
-        for i, order in enumerate(orders):
-            bucket_pow = _power(buckets, order.mu)
-            bucket_sums[i] += float(bucket_pow.sum())
-            for label in groups:
-                z = class_means[(order.nu, label)]
-                y = z * bucket_pow
-                sums[i][label] += float(y.sum())
-                sums_sq[i][label] += float((y * y).sum())
-                ref_sums[i][label] += float(z.sum())
-
-    out = []
-    for i, order in enumerate(orders):
-        joint_mean = {k: sums[i][k] / n for k in groups}
-        joint_se = {
-            k: math.sqrt(max(sums_sq[i][k] / n - joint_mean[k] ** 2, 0.0) / n)
-            for k in groups
-        }
-        out.append(
-            ClassMomentStats(
-                order=order,
-                n_samples=n,
-                joint_mean=joint_mean,
-                joint_se=joint_se,
-                ref_mean={k: ref_sums[i][k] / n for k in groups},
-                bucket_mean=bucket_sums[i] / n,
-            )
-        )
+def class_average_matrix(classes: UnitClasses) -> np.ndarray:
+    """Unit-to-class matrix (n_units x 2) whose columns average the signal
+    (t=1) and the background (t=0) units; fractional units get no weight."""
+    _require_both_classes(classes)
+    signal, background = classes.one_units, classes.zero_units
+    out = np.zeros((signal.size + background.size + classes.fractional_units.size, 2))
+    out[signal, 0] = 1.0 / signal.size
+    out[background, 1] = 1.0 / background.size
     return out

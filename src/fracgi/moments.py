@@ -7,6 +7,10 @@ The reconstruction statistic per pixel i is the normalized moment
 estimated from N frames. Accumulators keep compensated running sums and can
 be merged, so frames may be sharded across workers; merging shard results in
 shard-index order reproduces the serial sums.
+
+Given a unit-to-group matrix P, the pass reduces per-frame group values
+y_f = I_B^mu * sum_i P[i, c] I_i^nu instead of pixels; with class-averaging
+columns these are the class statistics ``fracgi validate`` checks.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .speckle import SampleSet, TINY_INTENSITY
+from .speckle import SampleSet, TINY_INTENSITY, _CompensatedSum
 
 __all__ = [
     "OrderDomainError",
@@ -72,29 +76,6 @@ class MomentOrder:
             )
 
 
-class _CompensatedSum:
-    """Neumaier running sum with elementwise carry."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self, shape):
-        self.total = np.zeros(shape)
-        self.carry = np.zeros(shape)
-
-    def add(self, term: np.ndarray) -> None:
-        new = self.total + term
-        lost = np.where(
-            np.abs(self.total) >= np.abs(term),
-            (self.total - new) + term,
-            (term - new) + self.total,
-        )
-        self.carry += lost
-        self.total = new
-
-    def value(self) -> np.ndarray:
-        return self.total + self.carry
-
-
 def _power(values: np.ndarray, exponent: float) -> np.ndarray:
     # log-domain powers on clamped-positive inputs: fractional exponents,
     # wide dynamic range; overflow to inf is detected by the caller
@@ -118,9 +99,6 @@ class GhostImage:
     ref_mean: np.ndarray     # <I_i^nu> estimate per pixel
     bucket_mean: float       # <I_B^mu> estimate
     bucket2_mean: float      # <I_B^{2mu}> estimate
-
-    def grid(self) -> np.ndarray:
-        return self.g.reshape(self.height, self.width)
 
     def joint_se(self) -> np.ndarray:
         """Per-pixel standard error of the raw joint-moment estimate."""
@@ -164,8 +142,10 @@ class MomentAccumulator:
 
     def _update_with_ref_powers(self, ref_pow: np.ndarray, buckets: np.ndarray) -> None:
         bucket_pow = _power(buckets, self.order.mu)
-        joint = np.einsum("f,fp->p", bucket_pow, ref_pow)
-        joint2 = np.einsum("f,fp->p", np.square(bucket_pow), np.square(ref_pow))
+        # an overflow here is detected below and raised as OrderDomainError
+        with np.errstate(over="ignore"):
+            joint = np.einsum("f,fp->p", bucket_pow, ref_pow)
+            joint2 = np.einsum("f,fp->p", np.square(bucket_pow), np.square(ref_pow))
         if not (np.all(np.isfinite(joint2)) and np.isfinite(bucket_pow.sum())):
             raise OrderDomainError(
                 f"non-finite power at orders (mu={self.order.mu}, nu={self.order.nu}): "
@@ -258,6 +238,7 @@ def multi_order_pass(
     workers: int = 1,
     shard_size: int = DEFAULT_SHARD_SIZE,
     pair_shift: int = 0,
+    groups: np.ndarray | None = None,
 ) -> list[GhostImage]:
     """One streaming pass over the sample set, one accumulator per order.
 
@@ -265,6 +246,9 @@ def multi_order_pass(
     so results are identical for any worker count. ``pair_shift`` pairs the
     reference of frame j with the bucket of frame (j + shift) mod N, which
     destroys the bucket-reference correlation (decorrelation null runs).
+    ``groups`` (n_units x k) maps each frame's reference powers to k group
+    values before accumulation; the images are then k x 1, one pixel per
+    group column.
     """
     if not orders:
         raise ValueError("at least one order pair is required")
@@ -272,6 +256,11 @@ def multi_order_pass(
         raise ValueError("need at least 2 frames")
     if workers < 1:
         raise ValueError("workers must be positive")
+    width, height = samples.mask.width, samples.mask.height
+    if groups is not None:
+        if groups.ndim != 2 or groups.shape[0] != samples.config.n:
+            raise ValueError(f"groups must be an ({samples.config.n}, k) matrix")
+        width, height = groups.shape[1], 1
 
     shifted = None
     if pair_shift % samples.n_frames != 0:
@@ -281,12 +270,14 @@ def multi_order_pass(
 
     def process(shard: tuple[int, int]) -> list[MomentAccumulator]:
         start, stop = shard
-        accs = [MomentAccumulator(samples.config.n, o) for o in orders]
+        accs = [MomentAccumulator(width * height, o) for o in orders]
         for first, refs, buckets in samples.iter_batches(_BATCH_SIZE, start, stop):
             if shifted is not None:
                 buckets = shifted[first : first + buckets.size]
             # share reference powers between orders with equal nu
             powers = {nu: _power(refs, nu) for nu in distinct_nu}
+            if groups is not None:
+                powers = {nu: p @ groups for nu, p in powers.items()}
             for acc in accs:
                 acc._update_with_ref_powers(powers[acc.order.nu], buckets)
         return accs
@@ -302,5 +293,4 @@ def multi_order_pass(
     for shard_accs in partials[1:]:
         for acc, part in zip(merged, shard_accs):
             acc.merge(part)
-    width, height = samples.mask.width, samples.mask.height
     return [acc.finalize(width, height) for acc in merged]

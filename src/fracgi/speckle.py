@@ -82,26 +82,39 @@ def generate_frame(config: SpeckleConfig, frame_index: int) -> np.ndarray:
     return _intensity_block(config, frame_index, 1)[0]
 
 
+class _CompensatedSum:
+    """Neumaier running sum with elementwise carry."""
+
+    __slots__ = ("total", "carry")
+
+    def __init__(self, shape):
+        self.total = np.zeros(shape)
+        self.carry = np.zeros(shape)
+
+    def add(self, term: np.ndarray) -> None:
+        new = self.total + term
+        lost = np.where(
+            np.abs(self.total) >= np.abs(term),
+            (self.total - new) + term,
+            (term - new) + self.total,
+        )
+        self.carry += lost
+        self.total = new
+
+    def value(self) -> np.ndarray:
+        return self.total + self.carry
+
+
 def _compensated_weighted_sum(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Neumaier-compensated sum of weights[j]*block[:, j] over nonzero weights.
 
     Term order is ascending unit index; zero weights contribute exactly 0
     and are skipped.
     """
-    rows = block.shape[0]
-    total = np.zeros(rows)
-    carry = np.zeros(rows)
+    acc = _CompensatedSum(block.shape[0])
     for j in np.flatnonzero(weights):
-        term = weights[j] * block[:, j]
-        new = total + term
-        lost = np.where(
-            np.abs(total) >= np.abs(term),
-            (total - new) + term,
-            (term - new) + total,
-        )
-        carry += lost
-        total = new
-    return total + carry
+        acc.add(weights[j] * block[:, j])
+    return acc.value()
 
 
 def bucket_signal(reference: np.ndarray, mask: ObjectMask) -> float:

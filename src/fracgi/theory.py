@@ -276,10 +276,6 @@ class ErlangModel:
             raise DomainError("scale must be positive")
 
     @property
-    def small_x_exponent(self) -> int:
-        return self.m
-
-    @property
     def mean(self) -> float:
         return self.m * self.scale
 
@@ -313,10 +309,6 @@ class HypoexponentialModel:
     shapes: np.ndarray   # term shapes l (1..multiplicity)
     weights: np.ndarray  # signed mixture weights, sum to 1
     poles: tuple         # ((rate, multiplicity), ...) for reference
-
-    @property
-    def small_x_exponent(self) -> int:
-        return int(sum(mult for _, mult in self.poles))
 
     @property
     def mean(self) -> float:
@@ -361,10 +353,6 @@ class LaplaceInversionModel:
     i0: float
     method: str = "fixed-talbot"
     nodes: int = TALBOT_NODES
-
-    @property
-    def small_x_exponent(self) -> int:
-        return int(self.mults.sum())
 
     @property
     def mean(self) -> float:

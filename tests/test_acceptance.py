@@ -15,7 +15,7 @@ from scipy import stats as scipy_stats
 from scipy.integrate import quad
 
 from fracgi.cli import main as cli_main
-from fracgi.metrics import class_moment_stats_multi
+from fracgi.metrics import class_average_matrix
 from fracgi.moments import MomentOrder, multi_order_pass
 from fracgi.objects import ObjectMask, block_mask, classify_units, letter_a_mask
 from fracgi.speckle import SpeckleConfig, run_simulation
@@ -51,7 +51,8 @@ def grid_run():
     config = SpeckleConfig(i0=1.0, seed=SEED, n=mask.n)
     samples = run_simulation(config, mask, N_SAMPLES)
     start = time.perf_counter()
-    class_stats = class_moment_stats_multi(samples, classes, orders)
+    # class-pooled statistics: column 0 is the signal class, column 1 the background
+    class_stats = multi_order_pass(samples, orders, groups=class_average_matrix(classes))
     elapsed = time.perf_counter() - start
     return {
         "mask": mask,
@@ -67,11 +68,10 @@ def test_criterion_1_mc_vs_closed_form(grid_run):
     worst = 0.0
     for order in grid_run["orders"][:6]:
         st = grid_run["stats"][order]
-        for label, closed in (
-            ("signal", moment_signal(20, order.mu, order.nu)),
-            ("background", moment_background(20, order.mu, order.nu)),
+        for col, closed in enumerate(
+            (moment_signal(20, order.mu, order.nu), moment_background(20, order.mu, order.nu))
         ):
-            dev = abs(st.joint_mean[label] - closed) / st.joint_se[label]
+            dev = abs(st.joint_mean[col] - closed) / st.joint_se()[col]
             worst = max(worst, dev)
     ok = worst < 5.0 and grid_run["elapsed"] < 60.0
     announce(
@@ -86,8 +86,8 @@ def test_criterion_2_sign_law(grid_run):
     details = []
     for order in grid_run["orders"][:6]:
         st = grid_run["stats"][order]
-        g = st.g("signal")
-        se = st.g_se("signal")
+        g = st.g[0]
+        se = st.g_se()[0]
         good = math.copysign(1, g - 1.0) == math.copysign(1, order.mu) and abs(g - 1) > 5 * se
         ok &= good
         details.append(f"mu={order.mu:+.4g}:|g-1|/SE={abs(g - 1) / se:.0f}")
@@ -101,15 +101,15 @@ def test_criterion_3_classic_contrast(grid_run):
     results.append((20, st20))
     mask5 = block_mask(5)
     samples5 = run_simulation(SpeckleConfig(i0=1.0, seed=11, n=mask5.n), mask5, N_SAMPLES)
-    st5 = class_moment_stats_multi(
-        samples5, classify_units(mask5), [MomentOrder(1.0, 1.0)]
-    )[0]
+    (st5,) = multi_order_pass(
+        samples5, [MomentOrder(1.0, 1.0)], groups=class_average_matrix(classify_units(mask5))
+    )
     results.append((5, st5))
 
     ok = True
     details = []
     for m, st in results:
-        g, se = st.g("signal"), st.g_se("signal")
+        g, se = st.g[0], st.g_se()[0]
         contrast_ok = abs(g - 1.0 - 1.0 / m) < 5 * se
         v_exact = abs(visibility(m, 1, 1) - 1.0 / (2 * m + 1)) < 1e-12
         ok &= contrast_ok and v_exact

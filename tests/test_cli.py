@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracgi
+from fracgi import cli
 from fracgi.cli import main
 from fracgi.reports import read_report
 
@@ -107,6 +112,21 @@ def test_simulate_missing_object_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_workers_flag_and_env_validation(tmp_path, capsys, monkeypatch):
+    args = ["simulate", "--n-samples", "100", "--orders", "1:1", "--seed", "1",
+            "--out", str(tmp_path / "x")]
+    code, _, err = run(capsys, *args, "--workers", "0")
+    assert code == 2 and "--workers must be positive" in err
+    for raw, message in (("0", "FRACGI_WORKERS must be positive"),
+                         ("two", "FRACGI_WORKERS must be an integer")):
+        monkeypatch.setenv("FRACGI_WORKERS", raw)
+        code, _, err = run(capsys, *args)
+        assert code == 2 and message in err
+    # the flag wins over the environment
+    code, _, _ = run(capsys, *args, "--workers", "1")
+    assert code == 0
+
+
 def test_workers_env_override(tmp_path, capsys, monkeypatch):
     args = ["simulate", "--n-samples", "2000", "--orders", "1:1", "--seed", "2"]
     code, _, _ = run(capsys, *args, "--out", str(tmp_path / "a"))
@@ -183,3 +203,62 @@ def test_validate_custom_orders(capsys):
     )
     assert code == 0
     assert out.count("PASS") == 2
+
+
+def test_validate_honours_workers(capsys, monkeypatch):
+    seen = []
+    real_pass = cli.moments.multi_order_pass
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["workers"])
+        return real_pass(*args, **kwargs)
+
+    monkeypatch.setattr(cli.moments, "multi_order_pass", spy)
+    outputs = []
+    for flags, env in ((["--workers", "1"], None), (["--workers", "2"], None), ([], "2")):
+        if env is not None:
+            monkeypatch.setenv("FRACGI_WORKERS", env)
+        code, out, _ = run(capsys, "validate", *flags)
+        assert code == 0
+        outputs.append(out)
+    assert seen == [1, 2, 2]
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].count("PASS") == 12
+
+
+def test_validate_skips_infinite_variance_rows(capsys):
+    # m=2 at (-1.5, 0.1): m+2mu+2nu = -0.8 and m+2mu = -1, so neither
+    # class has a finite estimator variance and no 5-SE gate exists
+    code, out, _ = run(
+        capsys, "validate", "--m", "2", "--n-samples", "20000", "--seed", "3",
+        "--orders=-1.5:0.1,-1.2:0.5",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert "SKIP mu=-1.5 nu=0.1 signal: estimator variance infinite " \
+        "(m+2*mu+2*nu = -0.8 <= 0)" in lines
+    assert "SKIP mu=-1.5 nu=0.1 background: estimator variance infinite " \
+        "(m+2*mu = -1 <= 0)" in lines
+    # background references are independent of the bucket: only m+2mu counts
+    assert "SKIP mu=-1.2 nu=0.5 background: estimator variance infinite " \
+        "(m+2*mu = -0.4 <= 0)" in lines
+    assert any(line.startswith("PASS mu=-1.2 nu=0.5 signal:") for line in lines)
+    assert out.count("PASS") == 1 and "FAIL" not in out
+    assert "all checks passed" not in out
+    assert lines[-1] == "no check failed; 3 skipped (infinite estimator variance)"
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_power_overflow_is_a_domain_error(tmp_path, command):
+    argv = [command, "--n-samples", "4000", "--orders=150:0.5"]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "run")]
+    env = dict(os.environ, PYTHONPATH=str(Path(fracgi.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracgi.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("domain error: non-finite power")
+    assert "RuntimeWarning" not in proc.stderr

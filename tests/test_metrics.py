@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fracgi.metrics import (
+    CLASS_COLUMNS,
     MetricsError,
-    class_moment_stats,
-    class_moment_stats_multi,
+    class_average_matrix,
     empirical_peak_snr,
     empirical_visibility,
     image_metrics,
@@ -103,15 +103,29 @@ def run20():
     return mask, classify_units(mask), run_simulation(cfg, mask, 20_000)
 
 
+def class_pass(samples, classes, orders, **kwargs):
+    """Class-pooled statistics: one column per class, signal then background."""
+    return multi_order_pass(samples, orders, groups=class_average_matrix(classes), **kwargs)
+
+
+def test_class_average_matrix_columns():
+    classes = classes_for([1.0, 0.0, 0.5, 1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(
+        class_average_matrix(classes),
+        [[0.5, 0], [0, 1 / 3], [0, 0], [0.5, 0], [0, 1 / 3], [0, 1 / 3]],
+    )
+    assert CLASS_COLUMNS == ("signal", "background")
+
+
 def test_class_stats_match_accumulator_means(run20):
     mask, classes, samples = run20
     order = MomentOrder(0.618, 0.5)
-    stats = class_moment_stats(samples, classes, order)
+    (stats,) = class_pass(samples, classes, [order])
     (image,) = multi_order_pass(samples, [order])
-    assert stats.joint_mean["signal"] == pytest.approx(
+    assert stats.joint_mean[0] == pytest.approx(
         image.joint_mean[classes.one_units].mean(), rel=1e-12
     )
-    assert stats.joint_mean["background"] == pytest.approx(
+    assert stats.joint_mean[1] == pytest.approx(
         image.joint_mean[classes.zero_units].mean(), rel=1e-12
     )
     assert stats.bucket_mean == pytest.approx(image.bucket_mean, rel=1e-12)
@@ -120,24 +134,44 @@ def test_class_stats_match_accumulator_means(run20):
 def test_class_stats_multi_shares_pass(run20):
     _, classes, samples = run20
     orders = [MomentOrder(0.618, 0.5), MomentOrder(-1.414, 0.5)]
-    multi = class_moment_stats_multi(samples, classes, orders)
+    multi = class_pass(samples, classes, orders)
     for order, stats in zip(orders, multi):
-        single = class_moment_stats(samples, classes, order)
-        assert stats.joint_mean == single.joint_mean
-        assert stats.joint_se == single.joint_se
+        (single,) = class_pass(samples, classes, [order])
+        np.testing.assert_array_equal(stats.joint_mean, single.joint_mean)
+        np.testing.assert_array_equal(stats.joint_se(), single.joint_se())
+
+
+@pytest.mark.parametrize("pair_shift, workers", [(0, 1), (1, 1), (1, 2)])
+def test_class_columns_match_hand_reduction(run20, pair_shift, workers):
+    """Each column is the frame average of y_f = b_f^mu * mean_{i in class}
+    r_{f,i}^nu, with standard error std(y_f)/sqrt(N); recomputed here from
+    the raw batches with plain numpy, independently of the accumulator."""
+    _, classes, samples = run20
+    order = MomentOrder(-1.414, 0.5)
+    (stats,) = class_pass(samples, classes, [order], pair_shift=pair_shift, workers=workers)
+    refs = np.concatenate([r for _, r, _ in samples.iter_batches(5000)])
+    buckets = np.concatenate([b for _, _, b in samples.iter_batches(5000)])
+    bucket_pow = np.roll(buckets, -pair_shift) ** order.mu
+    n = samples.n_frames
+    for col, units in enumerate((classes.one_units, classes.zero_units)):
+        z = (refs[:, units] ** order.nu).mean(axis=1)
+        y = bucket_pow * z
+        assert stats.joint_mean[col] == pytest.approx(y.mean(), rel=1e-12)
+        assert stats.joint_se()[col] == pytest.approx(y.std() / math.sqrt(n), rel=1e-12)
+        assert stats.ref_mean[col] == pytest.approx(z.mean(), rel=1e-12)
+    assert stats.bucket_mean == pytest.approx(bucket_pow.mean(), rel=1e-12)
 
 
 def test_null_pairing_kills_contrast(run20):
     _, classes, samples = run20
-    stats = class_moment_stats(samples, classes, MomentOrder(1.414, 0.5), pair_shift=1)
-    for label in ("signal", "background"):
-        assert abs(stats.g(label) - 1.0) < 5 * stats.g_se(label)
+    (stats,) = class_pass(samples, classes, [MomentOrder(1.414, 0.5)], pair_shift=1)
+    assert np.all(np.abs(stats.g - 1.0) < 5 * stats.g_se())
 
 
 def test_paired_run_shows_contrast(run20):
     _, classes, samples = run20
-    stats = class_moment_stats(samples, classes, MomentOrder(1.414, 0.5))
-    assert stats.g("signal") - 1.0 > 5 * stats.g_se("signal")
+    (stats,) = class_pass(samples, classes, [MomentOrder(1.414, 0.5)])
+    assert stats.g[0] - 1.0 > 5 * stats.g_se()[0]
 
 
 def test_empty_mask_classes_rejected(run20):
@@ -146,7 +180,10 @@ def test_empty_mask_classes_rejected(run20):
         ObjectMask(width=49, height=1, units=np.full(49, 0.5))
     )
     with pytest.raises(MetricsError):
-        class_moment_stats(samples, gray, MomentOrder(1.0, 1.0))
+        class_pass(samples, gray, [MomentOrder(1.0, 1.0)])
+    for values in ([1.0, 1.0], [0.0, 0.0]):
+        with pytest.raises(MetricsError):
+            class_average_matrix(classes_for(values))
 
 
 # -- convergence to the closed forms ------------------------------------------
@@ -163,7 +200,7 @@ def convergence_runs():
     for n in (20_000, 200_000):
         samples = run_simulation(SpeckleConfig(i0=1.0, seed=303, n=mask.n), mask, n)
         (image,) = multi_order_pass(samples, [order])
-        stats = class_moment_stats(samples, classes, order)
+        (stats,) = class_pass(samples, classes, [order])
         out[n] = (image, stats)
     return classes, out, visibility(20, 1, 1), peak_snr
 
@@ -176,8 +213,8 @@ def test_empirical_visibility_converges(convergence_runs):
     assert deviations[200_000] < deviations[20_000]
     # at the larger N: within 5 pooled standard errors (delta method on V)
     image, stats = runs[200_000]
-    s, b = stats.joint_mean["signal"], stats.joint_mean["background"]
-    ds, db = stats.joint_se["signal"], stats.joint_se["background"]
+    s, b = stats.joint_mean
+    ds, db = stats.joint_se()
     se_v = 2.0 * math.sqrt((b * ds) ** 2 + (s * db) ** 2) / (s + b) ** 2
     assert deviations[200_000] < 5 * se_v
 
