@@ -2,11 +2,10 @@
 """Grayscale reconstruction demo on a concentric-levels object.
 
 Grayscale masks have no binary closed form; this script shows the general
-machinery end to end: hypoexponential bucket law from the value histogram,
-reconstruction at positive and negative bucket orders, and a spot check of
-the analytic moment against the Monte-Carlo estimate at every order. The
-object keeps few distinct levels and modest multiplicities so the
-partial-fraction expansion of the bucket law stays well-conditioned.
+machinery end to end: the Gamma-mixture bucket law from the value
+histogram, reconstruction at positive and negative bucket orders, and a
+spot check of the analytic moment against the Monte-Carlo estimate at
+every order.
 
 Usage:
     python scripts/grayscale_demo.py --out runs/gray
@@ -30,13 +29,8 @@ from fracgi.reports import write_ghost_image
 
 
 def blob_mask() -> ObjectMask:
-    """4x4 object with three transmittance levels and small multiplicities.
-
-    Signed partial-fraction weights grow combinatorially with unit
-    multiplicities, so the exactly-expansible grayscale objects are small;
-    larger ones fall back to contour inversion for the bucket law. Their
-    moments need no expansion.
-    """
+    """4x4 object with three transmittance levels (0.25, 0.5 and 1) around
+    a transparent border; its bucket law is a Gamma mixture of ~180 terms."""
     units = np.array(
         [
             [0.00, 0.25, 0.25, 0.00],

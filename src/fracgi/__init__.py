@@ -36,12 +36,9 @@ from .theory import (
     AnalyticPrediction,
     DomainError,
     ErlangModel,
-    HypoexponentialModel,
-    LaplaceInversionModel,
-    bucket_pdf_binary,
+    GammaMixtureModel,
     bucket_pdf_general,
     joint_pdf_binary,
-    log_gamma,
     moment_background,
     moment_general,
     moment_signal,

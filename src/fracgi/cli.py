@@ -104,11 +104,12 @@ def _check_order_domain(mask_or_m, orders) -> None:
 
 
 def _infinite_variance(m: int, order: moments.MomentOrder, label: str) -> str:
-    """Violated variance conditions of a paired class row, "" if none.
+    """Violated variance conditions of a class row, "" if none.
 
     The signal estimator needs m+2mu+2nu > 0; background references are
     independent of the bucket, so that row needs only m+2mu > 0. Both
-    need 1+2nu > 0.
+    need 1+2nu > 0. Null pairing makes every reference independent of
+    its bucket, so both of its rows take the background conditions.
     """
     mu, nu = order.mu, order.nu
     bucket = ("m+2*mu+2*nu", m + 2 * mu + 2 * nu) if label == "signal" else ("m+2*mu", m + 2 * mu)
@@ -257,16 +258,16 @@ def cmd_validate(args) -> int:
     for order, image in zip(orders, images):
         for col, label in enumerate(metrics.CLASS_COLUMNS):
             row = f"mu={order.mu:g} nu={order.nu:g} {label}"
+            violated = _infinite_variance(args.m, order, "background" if args.null_pairing else label)
+            if violated:
+                skipped += 1
+                print(f"SKIP {row}: estimator variance infinite ({violated})")
+                continue
             if args.null_pairing:
                 g, se = image.g[col], image.g_se()[col]
                 ok = abs(g - 1.0) < 5.0 * se
                 detail = f"|g-1|={abs(g - 1):.3e} < 5*SE={5 * se:.3e}"
             else:
-                violated = _infinite_variance(args.m, order, label)
-                if violated:
-                    skipped += 1
-                    print(f"SKIP {row}: estimator variance infinite ({violated})")
-                    continue
                 moment = theory.moment_signal if label == "signal" else theory.moment_background
                 target = moment(args.m, order.mu, order.nu, args.i0)
                 got, se = image.joint_mean[col], image.joint_se()[col]

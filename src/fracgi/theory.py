@@ -11,9 +11,9 @@ from Gamma-function ratios:
 
 with G the Gamma function; peak SNR combines the order-doubled moment with
 the squared signal moment and the sampling count. General (grayscale)
-masks get a hypoexponential bucket law via partial fractions of the
-product of per-unit Laplace transforms 1/(1 + s*I0*t_i), and moments as
-one integral over the joint bucket/reference Laplace transform.
+masks get their bucket law as a mixture of Gamma laws with nonnegative
+weights (the sum of one Gamma law per transmittance level), and moments
+as one integral over the joint bucket/reference Laplace transform.
 
 Everything is evaluated in log space with one final exponentiation; the
 Gamma ratios overflow doubles long before the results do.
@@ -34,7 +34,6 @@ __all__ = [
     "QuadratureError",
     "ValidityFlags",
     "AnalyticPrediction",
-    "log_gamma",
     "moment_background",
     "moment_signal",
     "visibility",
@@ -43,25 +42,18 @@ __all__ = [
     "validity_domain",
     "predict",
     "ErlangModel",
-    "HypoexponentialModel",
-    "LaplaceInversionModel",
-    "bucket_pdf_binary",
+    "GammaMixtureModel",
     "joint_pdf_binary",
     "bucket_pdf_general",
     "moment_general",
 ]
 
-# distinct transmittance values closer than this (relatively) make the
-# partial-fraction expansion ill-conditioned; fall back to contour inversion
-POLE_CLUSTER_RTOL = 1e-6
-
-# signed mixture weights sum to 1, so their magnitude measures how many
-# digits cancel; beyond this the double-precision expansion is untrustworthy
-# (large multiplicities do this even with well-separated poles)
-PF_WEIGHT_LIMIT = 1e8
-
-# fixed-Talbot node count for the numerical-inversion fallback
-TALBOT_NODES = 64
+# Gamma-mixture bucket law
+_WEIGHT_TRIM = 1e-17  # weights kept down to this fraction of the largest
+_TAIL_SDS = 40.0      # term-count allowance past mean(N), in sd(N)
+_TERM_CAP = 1 << 16   # most terms before the Monte-Carlo path is named
+_RESTART = 32         # Poisson-term recurrence steps between exact restarts
+_BLOCK = 1 << 15      # points per cache-sized block of that recurrence
 
 
 class DomainError(ValueError):
@@ -74,15 +66,6 @@ class DomainError(ValueError):
 
 class QuadratureError(RuntimeError):
     """Numerical integration failed to converge or returned a non-finite value."""
-
-
-def log_gamma(x):
-    """Natural log of Gamma(x) for x > 0 (scalar or array)."""
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0):
-        raise DomainError("log_gamma requires x > 0")
-    out = gammaln(x)
-    return float(out) if out.ndim == 0 else out
 
 
 def _check(condition, reason: str) -> None:
@@ -301,125 +284,59 @@ class ErlangModel:
 
 
 @dataclass(frozen=True)
-class HypoexponentialModel:
-    """Bucket law for grayscale masks: signed mixture of Gamma terms from
-    the partial-fraction expansion over (possibly repeated) poles."""
+class GammaMixtureModel:
+    """Bucket law for grayscale masks: a mixture of Gamma(shape+n, scale) laws
+    with nonnegative weights (Moschopoulos 1985, Ann. Inst. Statist. Math. 37:541).
 
-    rates: np.ndarray    # term decay rates lambda_j
-    shapes: np.ndarray   # term shapes l (1..multiplicity)
-    weights: np.ndarray  # signed mixture weights, sum to 1
-    poles: tuple         # ((rate, multiplicity), ...) for reference
-
-    @property
-    def mean(self) -> float:
-        return float(np.sum(self.weights * self.shapes / self.rates))
-
-    def pdf(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
-        pos = x > 0
-        xp = x[pos]
-        acc = np.zeros_like(xp)
-        for lam, l, w in zip(self.rates, self.shapes, self.weights):
-            acc += w * np.exp(
-                l * math.log(lam) + (l - 1) * np.log(xp) - lam * xp - gammaln(l)
-            )
-        out[pos] = acc
-        if np.any(x == 0):
-            # only shape-1 terms contribute at the origin
-            at0 = sum(w * lam for lam, l, w in zip(self.rates, self.shapes, self.weights) if l == 1)
-            out[x == 0] = at0
-        return out if np.asarray(x).ndim else float(out[0])
-
-    def cdf(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
-        xp = np.maximum(x, 0.0)
-        for lam, l, w in zip(self.rates, self.shapes, self.weights):
-            out += w * gammainc(l, lam * xp)
-        return out if np.asarray(x).ndim else float(out[0])
-
-
-@dataclass(frozen=True)
-class LaplaceInversionModel:
-    """Numerical-inversion fallback for ill-conditioned pole clusters.
-
-    Evaluates the bucket density by fixed-Talbot inversion of the product
-    of per-unit transforms; the CDF inverts transform/s.
+    With y = x/scale and the Poisson terms d_t(y) = y^t e^-y / t!, the density
+    is sum_n w_n d_(shape+n-1)(y) / scale and, by P(s+1, y) = P(s, y) - d_s(y),
+    the CDF is sum_(j<J-1) C_j d_(shape+j)(y) + P(shape+J-1, y), C the
+    cumulative weights: sums of nonnegative terms, so nothing cancels.
     """
 
-    taus: np.ndarray    # distinct nonzero transmittances
-    mults: np.ndarray   # multiplicities
-    i0: float
-    method: str = "fixed-talbot"
-    nodes: int = TALBOT_NODES
-
-    @property
-    def mean(self) -> float:
-        return float(self.i0 * np.sum(self.taus * self.mults))
-
-    @property
-    def std(self) -> float:
-        return float(self.i0 * math.sqrt(np.sum(self.mults * self.taus**2)))
-
-    def reliable_digits(self) -> float:
-        """Estimated significant digits of the inversion near the bulk.
-
-        Fixed-Talbot sums oscillating terms; the digits surviving the
-        cancellation are 16 minus the gap between the largest term and the
-        density scale (~1/std at the mean). Heavy transforms (many units)
-        push the largest contour term astronomically high.
-        """
-        t = self.mean
-        m = self.nodes
-        theta = np.arange(1, m) * math.pi / m
-        cot = 1.0 / np.tan(theta)
-        r = 2.0 * m / (5.0 * t)
-        s = r * theta * (cot + 1j)
-        exponents = t * np.real(s) + np.real(self._log_transform(s))
-        e_max = max(float(exponents.max()), t * r + float(np.real(self._log_transform(np.array(r + 0j)))))
-        log_density_peak = -math.log(self.std * math.sqrt(2 * math.pi))
-        return 16.0 - (e_max - log_density_peak) / math.log(10.0)
-
-    def _log_transform(self, s: np.ndarray) -> np.ndarray:
-        # product of pole factors in complex log space; exp(k*log z) == z**k
-        # for integer k on any branch, and the sum never overflows
-        out = np.zeros_like(s)
-        for tau, k in zip(self.taus, self.mults):
-            out = out - int(k) * np.log(1.0 + s * self.i0 * tau)
-        return out
-
-    def _invert(self, log_transform, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
-        m = self.nodes
-        theta = np.arange(1, m) * math.pi / m
-        cot = 1.0 / np.tan(theta)
-        sigma = theta + (theta * cot - 1.0) * cot
-        for idx, t in enumerate(x):
-            if t <= 0:
-                continue
-            r = 2.0 * m / (5.0 * t)
-            s = r * theta * (cot + 1j)
-            terms = np.exp(t * s + log_transform(s)) * (1.0 + 1j * sigma)
-            half = 0.5 * np.exp(t * r + log_transform(np.array(r + 0j))).real
-            out[idx] = (r / m) * (half + np.sum(np.real(terms)))
-        return out
+    scale: float         # theta = I0 * smallest nonzero t
+    shape: int           # Gamma shape of the first kept term
+    weights: np.ndarray  # nonnegative, sum to 1
+    mean: float          # I0 * sum t
 
     def pdf(self, x):
-        # negatives in the far tail are pure inversion noise
-        out = np.maximum(self._invert(self._log_transform, x), 0.0)
-        return out if np.asarray(x).ndim else float(out[0])
+        return _poisson_sum(self._reduced(x), self.shape - 1, self.weights / self.scale)
 
     def cdf(self, x):
-        out = self._invert(lambda s: self._log_transform(s) - np.log(s), x)
-        out = np.clip(out, 0.0, 1.0)
-        return out if np.asarray(x).ndim else float(out[0])
+        y = self._reduced(x)
+        head = _poisson_sum(y, self.shape, np.cumsum(self.weights)[:-1])
+        return np.minimum(head + gammainc(self.shape + self.weights.size - 1, y), 1.0)
+
+    def _reduced(self, x):
+        # y = x/scale; x <= 0 maps to y = 0 (zero density and CDF), x = inf to
+        # the largest double, where every Poisson term underflows to zero
+        return np.clip(np.asarray(x, dtype=float) / self.scale, 0.0, np.finfo(float).max)
 
 
-def bucket_pdf_binary(m: int, i0: float) -> ErlangModel:
-    """Bucket density for a binary mask with m effective units."""
-    return ErlangModel(m=m, scale=i0)
+def _poisson_sum(y, t0: int, coef: np.ndarray):
+    """sum_j coef[j] d_(t0+j)(y) for y >= 0 and t0 >= 1, d_t the Poisson terms.
+
+    Runs d_t = d_(t-1) y/t over cache-sized blocks of points. Every
+    _RESTART terms it restarts from the exact log-space term, so a term
+    that underflows far below the mode cannot zero the ones after it.
+    """
+    flat = np.ravel(y)
+    out = np.empty_like(flat)
+    for b in range(0, flat.size, _BLOCK):
+        yb = flat[b:b + _BLOCK]
+        with np.errstate(divide="ignore"):  # log 0 = -inf: every term is 0
+            log_y = np.log(yb)
+        acc = np.zeros_like(yb)
+        for j, c in enumerate(coef):  # j = 0 starts exactly
+            t = t0 + j
+            if j % _RESTART == 0:
+                term = np.exp(t * log_y - yb - math.lgamma(t + 1))
+            else:
+                term *= yb
+                term *= 1.0 / t
+            acc += c * term
+        out[b:b + _BLOCK] = acc
+    return out.reshape(np.shape(y)) if np.ndim(y) else float(out[0])
 
 
 def joint_pdf_binary(m: int, i0: float, i_b, i_i, t_i: int):
@@ -459,57 +376,18 @@ def joint_pdf_binary(m: int, i0: float, i_b, i_i, t_i: int):
     return out if out.ndim else float(out)
 
 
-def _cluster_rtol(taus: np.ndarray) -> float:
-    if taus.size < 2:
-        return np.inf
-    t = np.sort(taus)
-    gaps = np.diff(t) / t[1:]
-    return float(gaps.min())
-
-
-def _partial_fraction_terms(lam: np.ndarray, mult: np.ndarray):
-    """Signed Gamma-mixture terms of the density with transform
-    prod_j (lam_j/(s+lam_j))^(k_j), via truncated Taylor series of each
-    cofactor around its pole (polynomial arithmetic, no numerical
-    differentiation)."""
-    log_scale = float(np.sum(mult * np.log(lam)))  # log prod lam_j^k_j
-    rates, shapes, weights = [], [], []
-    for j in range(lam.size):
-        k_j = int(mult[j])
-        # Taylor coefficients of prod_{i!=j} (u + d_ij)^(-k_i) up to u^(k_j-1)
-        series = np.zeros(k_j)
-        series[0] = 1.0
-        for i in range(lam.size):
-            if i == j:
-                continue
-            d = lam[i] - lam[j]
-            k_i = int(mult[i])
-            fac = np.array(
-                [
-                    (-1.0) ** r * math.comb(k_i + r - 1, r) * d ** (-(k_i + r))
-                    for r in range(k_j)
-                ]
-            )
-            series = np.convolve(series, fac)[:k_j]
-        for l in range(1, k_j + 1):
-            c = series[k_j - l]
-            if c == 0.0:
-                continue
-            rates.append(lam[j])
-            shapes.append(l)
-            weights.append(c * math.exp(log_scale - l * math.log(lam[j])))
-    return (
-        np.array(rates),
-        np.array(shapes, dtype=int),
-        np.array(weights),
-    )
-
-
 def bucket_pdf_general(mask: ObjectMask, i0: float):
-    """Bucket density of any mask: Erlang for binary, hypoexponential
-    partial fractions for distinct values, contour-inversion fallback when
-    the expansion is ill-conditioned (clustered values, or weight blowup
-    from large multiplicities)."""
+    """Bucket density of any mask: Erlang for one nonzero level, otherwise
+    the Gamma mixture of the sum of independent Gamma(k_j, a_j), a_j = I0*t_j
+    over the distinct nonzero levels and k_j their counts.
+
+    With theta = min a_j, q_j = 1 - theta/a_j and rho = sum k_j, the bucket
+    is Gamma(rho+N, theta), N = sum_j NegBin(k_j, theta/a_j). P(N = n) is
+    delta_n / sum(delta) from the all-positive recursion delta_n =
+    sum_(i=1..n) g_i delta_(n-i) / n, g_i = sum_j k_j q_j^i. N is log-concave:
+    the recursion stops once, past the mode, delta falls below _WEIGHT_TRIM
+    of its peak. Masks predicted to need more than _TERM_CAP terms are refused.
+    """
     if i0 <= 0:
         raise DomainError("i0 must be positive")
     nonzero = mask.units[mask.units > 0]
@@ -519,27 +397,40 @@ def bucket_pdf_general(mask: ObjectMask, i0: float):
     if taus.size == 1:
         return ErlangModel(m=int(counts[0]), scale=i0 * float(taus[0]))
 
-    def fallback() -> LaplaceInversionModel:
-        model = LaplaceInversionModel(taus=taus, mults=counts, i0=i0)
-        if model.reliable_digits() < 4.0:
-            raise DomainError(
-                "no numerically stable analytic bucket law for this mask: the "
-                "partial-fraction expansion is ill-conditioned and the transform "
-                "is too heavy for fixed-Talbot inversion (use the Monte-Carlo path)"
-            )
-        return model
-
-    if _cluster_rtol(taus) < POLE_CLUSTER_RTOL:
-        return fallback()
-    lam = 1.0 / (i0 * taus)
-    rates, shapes, weights = _partial_fraction_terms(lam, counts)
-    if not np.all(np.isfinite(weights)) or np.abs(weights).max() > PF_WEIGHT_LIMIT:
-        return fallback()
-    return HypoexponentialModel(
-        rates=rates,
-        shapes=shapes,
-        weights=weights,
-        poles=tuple((float(r), int(k)) for r, k in zip(lam, counts)),
+    k = counts.astype(float)
+    p = taus[0] / taus  # theta / a_j
+    q = 1.0 - p
+    with np.errstate(over="ignore", divide="ignore"):  # inf for vanishing levels
+        # a log-concave tail falls at least like exp(-c/sd): 40 sd is past 1e-17
+        terms = float(k @ (q / p)) + _TAIL_SDS * (math.sqrt(float(k @ (q / p**2))) + 1.0)
+    if not terms <= _TERM_CAP:
+        raise DomainError(
+            f"the analytic bucket law of this mask needs about {terms:.0f} Gamma-mixture "
+            f"terms (more than {_TERM_CAP}); use the Monte-Carlo path"
+        )
+    size = math.ceil(terms)
+    powers = np.arange(size, 0, -1)  # g_rev[size - i] = g_i
+    g_rev = sum(k_j * q_j**powers for q_j, k_j in zip(q[1:], k[1:]))
+    delta = np.zeros(size + 1)
+    delta[0] = peak = 1.0
+    for n in range(1, size + 1):
+        d = delta[:n] @ g_rev[size - n:] / n
+        if d > 1e280:  # the recursion is linear in delta: rescale them all
+            delta[:n] *= 1e-280
+            peak *= 1e-280
+            d *= 1e-280
+        delta[n] = d
+        if d > peak:
+            peak = d
+        elif d < _WEIGHT_TRIM * peak:
+            break
+    kept = np.flatnonzero(delta >= _WEIGHT_TRIM * peak)
+    weights = delta[kept[0]:kept[-1] + 1]
+    return GammaMixtureModel(
+        scale=i0 * float(taus[0]),
+        shape=int(counts.sum() + kept[0]),
+        weights=weights / weights.sum(),
+        mean=i0 * float(taus @ k),
     )
 
 

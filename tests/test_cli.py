@@ -196,6 +196,21 @@ def test_validate_null_pairing(capsys):
     assert "FAIL" not in out
 
 
+def test_validate_null_pairing_skips_infinite_variance_rows(capsys):
+    # null pairing decouples bucket and reference, so both classes need
+    # m+2mu > 0: at m=5, mu=-2.7183 gives -0.4366 and no 5-SE gate exists
+    code, out, _ = run(
+        capsys, "validate", "--m", "5", "--n-samples", "20000", "--seed", "3", "--null-pairing"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    for label in ("signal", "background"):
+        assert f"SKIP mu=-2.7183 nu=0.5 {label}: estimator variance infinite " \
+            "(m+2*mu = -0.4366 <= 0)" in lines
+    assert out.count("SKIP") == 2 and out.count("PASS") == 10 and "FAIL" not in out
+    assert lines[-1] == "no check failed; 2 skipped (infinite estimator variance)"
+
+
 def test_validate_custom_orders(capsys):
     code, out, _ = run(
         capsys, "validate", "--m", "5", "--n-samples", "15000", "--seed", "6",

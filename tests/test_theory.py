@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -15,13 +16,10 @@ from fracgi.objects import ObjectMask, letter_a_mask
 from fracgi.theory import (
     DomainError,
     ErlangModel,
-    HypoexponentialModel,
-    LaplaceInversionModel,
+    GammaMixtureModel,
     QuadratureError,
-    bucket_pdf_binary,
     bucket_pdf_general,
     joint_pdf_binary,
-    log_gamma,
     moment_background,
     moment_general,
     moment_signal,
@@ -33,8 +31,6 @@ from fracgi.theory import (
 )
 
 # frozen oracle values (independent high-precision evaluation)
-LN_20_FACTORIAL = 42.335616460753485       # log of the exact integer 20!
-LN_SQRT_PI_OVER_2 = -0.12078223763524522   # log(Gamma(3/2)) via half-integer identity
 GAMMA_3_2 = 0.886226925452758
 RP_20_1_1_120K = 14.49681407115578         # sqrt(120000/571) by Gamma recurrence
 GRAY_SIGNAL_FRACTIONAL = 1.284846685375186  # E[(X+Y/2)^0.618 Y^0.5], 30-digit 2D quadrature
@@ -55,39 +51,13 @@ BLOB_NEGATIVE_ORDER = {
 GRAY = ObjectMask(width=3, height=1, units=np.array([0.2, 0.5, 1.0]))
 
 
-# -- log gamma ---------------------------------------------------------------
-
-
-def test_log_gamma_exact_points():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(21.0) == pytest.approx(LN_20_FACTORIAL, rel=1e-14)
-    assert log_gamma(1.5) == pytest.approx(LN_SQRT_PI_OVER_2, rel=1e-13)
-
-
-def test_log_gamma_against_high_precision_grid():
-    mp.mp.dps = 30
-    xs = np.logspace(-3, 3, 61)
-    for x in xs:
-        exact = float(mp.loggamma(mp.mpf(float(x))))
-        got = log_gamma(float(x))
-        # relative 1e-13 with an absolute floor where ln Gamma crosses zero
-        assert abs(got - exact) <= 1e-13 * max(abs(exact), 1.0)
-
-
-def test_log_gamma_domain():
-    with pytest.raises(DomainError):
-        log_gamma(0.0)
-    with pytest.raises(DomainError):
-        log_gamma(-3.2)
-
-
 # -- closed-form moments -----------------------------------------------------
 
 
 def test_moment_background_examples():
     assert moment_background(20, 1, 1) == pytest.approx(20.0, rel=1e-13)
     assert moment_background(5, 0, 0.5) == pytest.approx(GAMMA_3_2, rel=1e-13)
-    expected = math.exp(log_gamma(20.618) + log_gamma(1.5) - log_gamma(20))
+    expected = math.exp(math.lgamma(20.618) + math.lgamma(1.5) - math.lgamma(20))
     assert moment_background(20, 0.618, 0.5) == pytest.approx(expected, rel=1e-13)
 
 
@@ -120,7 +90,7 @@ def test_background_factorizes_in_nu():
                 continue
             for nu in (0.3, 1.1, 2.9):
                 lhs = moment_background(m, mu, nu)
-                rhs = moment_background(m, mu, 0.0) * math.exp(log_gamma(1 + nu))
+                rhs = moment_background(m, mu, 0.0) * math.exp(math.lgamma(1 + nu))
                 assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -212,24 +182,24 @@ def test_validity_from_grayscale_mask():
 
 
 def test_erlang_m1_is_exponential():
-    model = bucket_pdf_binary(1, 2.0)
+    model = ErlangModel(m=1, scale=2.0)
     xs = np.array([0.0, 0.5, 3.0])
     np.testing.assert_allclose(model.pdf(xs), np.exp(-xs / 2.0) / 2.0, rtol=1e-12)
 
 
 def test_erlang_zero_at_origin_for_m2():
-    model = bucket_pdf_binary(2, 1.0)
+    model = ErlangModel(m=2, scale=1.0)
     assert model.pdf(np.array([0.0]))[0] == 0.0
 
 
 def test_erlang_mode():
-    model = bucket_pdf_binary(2, 1.0)
+    model = ErlangModel(m=2, scale=1.0)
     xs = np.linspace(0.5, 1.5, 2001)
     assert xs[np.argmax(model.pdf(xs))] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_erlang_normalization_and_cdf():
-    model = bucket_pdf_binary(5, 1.3)
+    model = ErlangModel(m=5, scale=1.3)
     total, _ = quad(lambda x: model.pdf(np.array([x]))[0], 0, np.inf)
     assert total == pytest.approx(1.0, abs=1e-9)
     assert model.cdf(np.array([1e4]))[0] == pytest.approx(1.0, abs=1e-12)
@@ -241,7 +211,7 @@ def test_joint_pdf_support_constraint():
 
 def test_joint_pdf_background_factorizes():
     val = joint_pdf_binary(5, 1.0, 3.0, 0.7, 0)
-    bucket = bucket_pdf_binary(5, 1.0).pdf(np.array([3.0]))[0]
+    bucket = ErlangModel(m=5, scale=1.0).pdf(np.array([3.0]))[0]
     assert val == pytest.approx(bucket * math.exp(-0.7), rel=1e-12)
 
 
@@ -249,7 +219,7 @@ def test_joint_pdf_background_factorizes():
 def test_joint_pdf_marginalizes_to_bucket_pdf(m):
     for i_b in (0.8, float(m), 2.0 * m):
         val, _ = quad(lambda ii: float(joint_pdf_binary(m, 1.0, i_b, ii, 1)), 0, i_b)
-        target = float(bucket_pdf_binary(m, 1.0).pdf(np.array([i_b]))[0])
+        target = float(ErlangModel(m=m, scale=1.0).pdf(np.array([i_b]))[0])
         assert val == pytest.approx(target, rel=1e-9)
 
 
@@ -283,7 +253,7 @@ def test_all_zero_mask_rejected():
 
 def test_three_pole_hypoexponential():
     model = bucket_pdf_general(GRAY, 1.0)
-    assert isinstance(model, HypoexponentialModel)
+    assert isinstance(model, GammaMixtureModel)
     assert model.mean == pytest.approx(1.7, rel=1e-12)
     total, _ = quad(lambda x: float(model.pdf(np.array([x]))[0]), 0, np.inf)
     assert total == pytest.approx(1.0, abs=1e-9)
@@ -304,7 +274,7 @@ def test_hypoexponential_matches_monte_carlo():
 def test_repeated_plus_distinct_poles():
     mask = ObjectMask(width=3, height=1, units=np.array([0.5, 0.5, 1.0]))
     model = bucket_pdf_general(mask, 1.0)
-    assert isinstance(model, HypoexponentialModel)
+    assert isinstance(model, GammaMixtureModel)
     total, _ = quad(lambda x: float(model.pdf(np.array([x]))[0]), 0, np.inf)
     assert total == pytest.approx(1.0, abs=1e-9)
     rng = np.random.default_rng(77)
@@ -317,27 +287,138 @@ def test_repeated_plus_distinct_poles():
     assert result.pvalue > 1e-3
 
 
+def test_gray_law_matches_high_precision_partial_fractions():
+    # distinct rates lam_j = 1/t_j: f(x) = sum_j c_j lam_j exp(-lam_j x) and
+    # F(x) = 1 - sum_j c_j exp(-lam_j x), c_j = prod_(i!=j) lam_i/(lam_i-lam_j),
+    # summed at 50 digits so the signed terms cannot cancel
+    model = bucket_pdf_general(GRAY, 1.0)
+    xs = np.array([0.2, 0.5, 1.0, 1.7, 3.0, 5.0, 8.0])
+    with mp.workdps(50):
+        lam = [1 / mp.mpf(float(t)) for t in GRAY.units]
+        coef = [mp.fprod(li / (li - lj) for li in lam if li != lj) for lj in lam]
+        decay = [[mp.exp(-lj * mp.mpf(float(x))) for lj in lam] for x in xs]
+        pdf = [float(mp.fsum(c * lj * e for c, lj, e in zip(coef, lam, row))) for row in decay]
+        cdf = [float(1 - mp.fsum(c * e for c, e in zip(coef, row))) for row in decay]
+    np.testing.assert_allclose(model.pdf(xs), pdf, rtol=1e-12)
+    np.testing.assert_allclose(model.cdf(xs), cdf, rtol=1e-12)
+
+
+def test_blob_law_matches_laplace_inversion():
+    # repeated levels (6 x 0.25, 2 x 0.5, 4 x 1): invert prod_j (1 + s t_j)^-k_j
+    # and that transform over s, by 30-digit Talbot contours
+    mask = ObjectMask(width=4, height=4, units=BLOB_UNITS)
+    model = bucket_pdf_general(mask, 1.0)
+    levels = np.unique(BLOB_UNITS[BLOB_UNITS > 0], return_counts=True)
+    xs = np.array([3.0, 5.0, 7.0, 9.0, 12.0])
+    with mp.workdps(30):
+        def transform(s):
+            return mp.fprod((1 + s * mp.mpf(float(t))) ** -int(k) for t, k in zip(*levels))
+
+        pdf = [float(mp.invertlaplace(transform, float(x), method="talbot")) for x in xs]
+        cdf = [float(mp.invertlaplace(lambda s: transform(s) / s, float(x), method="talbot"))
+               for x in xs]
+    np.testing.assert_allclose(model.pdf(xs), pdf, rtol=1e-12)
+    np.testing.assert_allclose(model.cdf(xs), cdf, rtol=1e-12)
+
+
+def _quadrature(upper: float, panels: int = 64):
+    """Nodes and weights of 32-point Gauss-Legendre panels on [0, upper]."""
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(0.0, upper, panels + 1)
+    half = np.diff(edges)[:, None] / 2
+    return (edges[:-1, None] + half * (nodes + 1)).ravel(), (half * weights).ravel()
+
+
+MIXTURE_MASKS = {
+    "blob": BLOB_UNITS,
+    "gray": GRAY.units,
+    "repeated": np.array([0.5, 0.5, 1.0]),
+    "clustered": np.array([0.5, 0.5 * (1 + 1e-8)]),
+    "400-unit": np.random.default_rng(0).choice([0.125, 0.25, 0.5, 0.75, 1.0], size=400),
+    "64x64-six-level": np.random.default_rng(5).choice([0, 0.2, 0.4, 0.6, 0.8, 1.0], 4096),
+    "8-bit-8x8": np.random.default_rng(7).integers(1, 256, 64) / 255,
+}
+
+
+@pytest.mark.parametrize("name", MIXTURE_MASKS)
+def test_mixture_is_a_distribution(name):
+    units, i0 = MIXTURE_MASKS[name], 1.7
+    model = bucket_pdf_general(ObjectMask(width=units.size, height=1, units=units), i0)
+    assert isinstance(model, GammaMixtureModel)
+    assert model.mean == pytest.approx(i0 * units.sum(), rel=1e-12)
+    sd = i0 * math.sqrt(float(units @ units))
+    upper = model.mean + 40 * sd
+    xs = np.linspace(0.0, upper, 401)
+    pdf, cdf = model.pdf(xs), model.cdf(xs)
+    assert pdf.min() >= 0.0
+    assert cdf.min() >= 0.0 and cdf.max() <= 1.0
+    assert np.diff(cdf).min() >= -1e-10
+    assert cdf[-1] == pytest.approx(1.0, abs=1e-10)
+    # mass, mean and variance of the density against i0*sum t and i0^2*sum t^2
+    x, w = _quadrature(upper)
+    density = model.pdf(x) * w
+    mass = density.sum()
+    mean = density @ x
+    variance = density @ (x - mean) ** 2
+    assert mass == pytest.approx(1.0, abs=1e-9)
+    assert mean == pytest.approx(model.mean, rel=1e-9)
+    assert variance == pytest.approx(sd**2, rel=1e-9)
+    # the CDF is not the integral of the pdf by construction: check that it is
+    x, w = _quadrature(model.mean, panels=32)
+    assert model.cdf(model.mean) == pytest.approx(model.pdf(x) @ w, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["two-level", "64x64-six-level"])
+def test_mixture_weights_are_the_negative_binomial_sum(name):
+    # P(N = n), N = sum_j NegBin(k_j, t_min/t_j), by direct convolution of
+    # scipy pmfs. 950 units at 1 beside 50 at 1/2 make N ~ NegBin(950, 1/2),
+    # whose unnormalised recursion crosses its 1e280 rescale 4 decades
+    # below the peak
+    units = np.repeat([0.5, 1.0], [50, 950]) if name == "two-level" else MIXTURE_MASKS[name]
+    model = bucket_pdf_general(ObjectMask(width=units.size, height=1, units=units), 1.0)
+    levels, counts = np.unique(units[units > 0], return_counts=True)
+    pmf = np.ones(1)
+    for t, k in zip(levels[1:], counts[1:]):
+        p = levels[0] / t
+        pmf = np.convolve(pmf, stats.nbinom.pmf(np.arange(int(stats.nbinom.isf(1e-20, k, p))), k, p))
+    first = model.shape - counts.sum()
+    expected = pmf[first:first + model.weights.size]
+    bulk = expected > 1e-10 * expected.max()
+    np.testing.assert_allclose(model.weights[bulk], expected[bulk] / expected.sum(), rtol=1e-9)
+
+
+def test_400_unit_mask_matches_monte_carlo():
+    # 400 units at five levels: ~1700 mixture terms
+    units = MIXTURE_MASKS["400-unit"]
+    model = bucket_pdf_general(ObjectMask(width=20, height=20, units=units), 1.0)
+    rng = np.random.default_rng(400)
+    # k units at level t sum to a Gamma(k, t) draw
+    draws = sum(rng.gamma(k, t, 200_000) for t, k in zip(*np.unique(units, return_counts=True)))
+    assert stats.kstest(draws, model.cdf).pvalue > 1e-3
+
+
 def test_heavy_mask_rejected_with_clear_error():
-    # many units at several levels: partial fractions blow up and the
-    # transform is too heavy for stable contour inversion
-    rng = np.random.default_rng(0)
-    units = rng.choice([0.125, 0.25, 0.5, 0.75, 1.0], size=400)
-    mask = ObjectMask(width=20, height=20, units=units)
-    with pytest.raises(DomainError, match="Monte-Carlo"):
-        bucket_pdf_general(mask, 1.0)
+    # 8-bit levels down to 1/255 need ~1.3e5 (16x16) to ~9e5 (64x64) mixture
+    # terms; the term count is predicted and refused before any work
+    for side in (16, 64):
+        units = np.random.default_rng(7).integers(1, 256, side * side) / 255
+        mask = ObjectMask(width=side, height=side, units=units)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="Monte-Carlo"):
+            bucket_pdf_general(mask, 1.0)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_clustered_poles_fall_back_to_inversion():
+    # levels 1e-8 apart: the mixture needs three terms and stays exact
     mask = ObjectMask(width=2, height=1, units=np.array([0.5, 0.5 * (1 + 1e-8)]))
     model = bucket_pdf_general(mask, 1.0)
-    assert isinstance(model, LaplaceInversionModel)
-    assert model.method == "fixed-talbot"
-    assert model.nodes == 64
+    assert isinstance(model, GammaMixtureModel)
     # indistinguishable from the merged-pole Erlang limit at this gap
     limit = ErlangModel(m=2, scale=0.5)
     xs = np.array([0.3, 1.0, 2.5])
-    np.testing.assert_allclose(model.pdf(xs), limit.pdf(xs), rtol=1e-4)
-    np.testing.assert_allclose(model.cdf(xs), limit.cdf(xs), rtol=1e-4)
+    np.testing.assert_allclose(model.pdf(xs), limit.pdf(xs), rtol=1e-7)
+    np.testing.assert_allclose(model.cdf(xs), limit.cdf(xs), rtol=1e-7)
 
 
 # -- general moments from the Laplace transform ------------------------------
@@ -375,7 +456,7 @@ def test_moment_general_grayscale_background_pixel():
 
 def test_moment_general_single_unit_mask():
     mask = ObjectMask(width=2, height=1, units=np.array([1.0, 0.0]))
-    expected = math.exp(log_gamma(1 + 0.7 + 0.5))
+    expected = math.exp(math.lgamma(1 + 0.7 + 0.5))
     assert moment_general(mask, 0, 0.7, 0.5) == pytest.approx(expected, rel=1e-12)
 
 
