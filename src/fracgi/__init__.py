@@ -13,7 +13,7 @@ from .metrics import (
     empirical_visibility,
     image_metrics,
 )
-from .moments import GhostImage, MomentAccumulator, MomentOrder, multi_order_pass
+from .moments import GhostImage, MomentOrder, multi_order_pass
 from .objects import (
     MaskError,
     ObjectMask,
@@ -25,13 +25,7 @@ from .objects import (
     load_object,
     save_object_csv,
 )
-from .speckle import (
-    SampleSet,
-    SpeckleConfig,
-    bucket_signal,
-    generate_frame,
-    run_simulation,
-)
+from .speckle import SampleSet, SpeckleConfig, run_simulation
 from .theory import (
     AnalyticPrediction,
     DomainError,

@@ -4,9 +4,13 @@ The reconstruction statistic per pixel i is the normalized moment
 
     g[i] = <I_B^mu I_i^nu> / (<I_B^mu> <I_i^nu>)
 
-estimated from N frames. Accumulators keep compensated running sums and can
-be merged, so frames may be sharded across workers; merging shard results in
-shard-index order reproduces the serial sums.
+estimated from N frames. One pass keeps plain running sums for all order
+pairs at once: per batch and per distinct nu, the reference powers R and
+their column sums are computed once, and each order's joint sums are the
+mat-vecs b @ R and b^2 @ R^2, b its bucket powers. One stacked product per nu
+would be a GEMM, but then an order's bits would depend on how many orders
+share its nu. Frames are sharded in fixed-size ranges and shard sums are
+added in shard-index order, so results do not depend on the worker count.
 
 Given a unit-to-group matrix P, the pass reduces per-frame group values
 y_f = I_B^mu * sum_i P[i, c] I_i^nu instead of pixels; with class-averaging
@@ -21,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .speckle import SampleSet, TINY_INTENSITY, _CompensatedSum
+from .speckle import SampleSet, TINY_INTENSITY
 
 __all__ = [
     "OrderDomainError",
     "MomentOrder",
-    "MomentAccumulator",
     "GhostImage",
     "multi_order_pass",
 ]
@@ -76,11 +79,15 @@ class MomentOrder:
             )
 
 
-def _power(values: np.ndarray, exponent: float) -> np.ndarray:
-    # log-domain powers on clamped-positive inputs: fractional exponents,
-    # wide dynamic range; overflow to inf is detected by the caller
+def _power(values: np.ndarray, exponent: float | np.ndarray) -> np.ndarray:
+    # log-domain powers on clamped-positive inputs, computed in one new
+    # array: fractional exponents, wide dynamic range; overflow to inf is
+    # detected by the caller
+    out = np.maximum(values, TINY_INTENSITY)
+    np.log(out, out=out)
     with np.errstate(over="ignore"):
-        return np.exp(exponent * np.log(np.maximum(values, TINY_INTENSITY)))
+        out *= exponent
+        return np.exp(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -111,120 +118,96 @@ class GhostImage:
         return self.joint_se() / (self.bucket_mean * self.ref_mean)
 
 
-class MomentAccumulator:
-    """Single-writer streaming sums for one order pair over n pixels.
+class _Sums:
+    """Running sums of one shard for all order pairs at once.
 
-    Tracks five compensated sums: per-pixel sum of I_B^mu*I_i^nu, its
-    square (orders doubled), per-pixel sum of I_i^nu, and the scalar sums
-    of I_B^mu and I_B^{2mu}.
+    ``joint``/``joint2`` (orders x pixels) sum I_B^mu I_i^nu and its square
+    (orders doubled), ``ref`` (distinct nu x pixels) sums I_i^nu, and
+    ``bucket``/``bucket2`` (orders) sum I_B^mu and I_B^{2mu}. Every summand
+    is positive, so plain sums err by about (N/2048 + 11) u relative
+    (Higham 2002, Accuracy and Stability of Numerical Algorithms, sec. 4).
     """
 
-    def __init__(self, n_pixels: int, order: MomentOrder):
-        if n_pixels < 1:
-            raise ValueError("n_pixels must be positive")
-        self.order = order
-        self.n_pixels = n_pixels
-        self.n_seen = 0
-        self._joint = _CompensatedSum(n_pixels)
-        self._joint2 = _CompensatedSum(n_pixels)
-        self._ref = _CompensatedSum(n_pixels)
-        self._bucket = _CompensatedSum(())
-        self._bucket2 = _CompensatedSum(())
+    def __init__(self, orders: list[MomentOrder], n_pixels: int):
+        self.orders = orders
+        self.mus = np.array([o.mu for o in orders])[:, None]
+        self.nus = sorted({o.nu for o in orders})
+        self.nu_index = [self.nus.index(o.nu) for o in orders]
+        self.rows = [[i for i, o in enumerate(orders) if o.nu == nu] for nu in self.nus]
+        self.joint = np.zeros((len(orders), n_pixels))
+        self.joint2 = np.zeros((len(orders), n_pixels))
+        self.ref = np.zeros((len(self.nus), n_pixels))
+        self.bucket = np.zeros(len(orders))
+        self.bucket2 = np.zeros(len(orders))
+        self.n = 0
 
-    # -- updates ------------------------------------------------------------
-
-    def update_batch(self, references: np.ndarray, buckets: np.ndarray) -> None:
-        """Accumulate a block of frames (rows of ``references``)."""
-        if references.ndim != 2 or references.shape[1] != self.n_pixels:
-            raise ValueError("frame size does not match accumulator")
-        ref_pow = _power(references, self.order.nu)
-        self._update_with_ref_powers(ref_pow, buckets)
-
-    def _update_with_ref_powers(self, ref_pow: np.ndarray, buckets: np.ndarray) -> None:
-        bucket_pow = _power(buckets, self.order.mu)
+    def add_batch(self, refs: np.ndarray, buckets: np.ndarray,
+                  groups: np.ndarray | None = None) -> None:
+        """Accumulate a block of frames (rows of ``refs``), all orders at once;
+        ``groups`` maps each frame's reference powers to group values."""
+        b = _power(np.broadcast_to(buckets, (len(self.orders), buckets.size)), self.mus)
         # an overflow here is detected below and raised as OrderDomainError
-        with np.errstate(over="ignore"):
-            joint = np.einsum("f,fp->p", bucket_pow, ref_pow)
-            joint2 = np.einsum("f,fp->p", np.square(bucket_pow), np.square(ref_pow))
-        if not (np.all(np.isfinite(joint2)) and np.isfinite(bucket_pow.sum())):
+        with np.errstate(over="ignore", invalid="ignore"):
+            b2 = b * b
+            for j, nu in enumerate(self.nus):
+                r = _power(refs, nu)
+                if groups is not None:
+                    r = r @ groups
+                self.ref[j] += r.sum(axis=0)
+                for i in self.rows[j]:
+                    self.joint[i] += b[i] @ r
+                np.square(r, out=r)
+                for i in self.rows[j]:
+                    self.joint2[i] += b2[i] @ r
+            self.bucket += b.sum(axis=1)
+            self.bucket2 += b2.sum(axis=1)
+        finite = np.isfinite(self.joint2).all(axis=1) & np.isfinite(self.bucket2)
+        if not finite.all():
+            order = self.orders[int(np.argmin(finite))]
             raise OrderDomainError(
-                f"non-finite power at orders (mu={self.order.mu}, nu={self.order.nu}): "
+                f"non-finite power at orders (mu={order.mu}, nu={order.nu}): "
                 "order/scale mismatch (power overflow)"
             )
-        self._joint.add(joint)
-        self._joint2.add(joint2)
-        self._ref.add(ref_pow.sum(axis=0))
-        self._bucket.add(bucket_pow.sum())
-        self._bucket2.add(np.square(bucket_pow).sum())
-        self.n_seen += buckets.size
+        self.n += buckets.size
 
-    def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        """Fold another accumulator's sums into this one (call in shard order)."""
-        if other.order != self.order or other.n_pixels != self.n_pixels:
-            raise ValueError("cannot merge accumulators with different shape or order")
-        for mine, theirs in (
-            (self._joint, other._joint),
-            (self._joint2, other._joint2),
-            (self._ref, other._ref),
-            (self._bucket, other._bucket),
-            (self._bucket2, other._bucket2),
-        ):
-            mine.add(theirs.value())
-        self.n_seen += other.n_seen
-        return self
+    def merge(self, other: "_Sums") -> None:
+        """Fold another shard's sums into these (call in shard order)."""
+        self.joint += other.joint
+        self.joint2 += other.joint2
+        self.ref += other.ref
+        self.bucket += other.bucket
+        self.bucket2 += other.bucket2
+        self.n += other.n
 
-    # -- reads --------------------------------------------------------------
-
-    @property
-    def joint_sum(self) -> np.ndarray:
-        return self._joint.value()
-
-    @property
-    def joint2_sum(self) -> np.ndarray:
-        return self._joint2.value()
-
-    @property
-    def ref_sum(self) -> np.ndarray:
-        return self._ref.value()
-
-    @property
-    def bucket_sum(self) -> float:
-        return float(self._bucket.value())
-
-    @property
-    def bucket2_sum(self) -> float:
-        return float(self._bucket2.value())
-
-    def finalize(self, width: int | None = None, height: int | None = None) -> GhostImage:
-        """Normalized ghost image plus raw moment estimates."""
-        if self.n_seen < 2:
+    def finalize(self, width: int, height: int) -> list[GhostImage]:
+        """One normalized ghost image with raw moment estimates per order."""
+        if self.n < 2:
             raise ValueError("need at least 2 frames to finalize")
-        if width is None or height is None:
-            width, height = self.n_pixels, 1
-        if width * height != self.n_pixels:
-            raise ValueError("width*height does not match pixel count")
-        n = self.n_seen
-        joint_mean = self.joint_sum / n
-        ref_mean = self.ref_sum / n
-        bucket_mean = self.bucket_sum / n
-        if bucket_mean <= 0 or np.any(ref_mean <= 0):
-            raise ValueError("degenerate normalization (zero mean power)")
-        g = joint_mean / (bucket_mean * ref_mean)
-        if not np.all(np.isfinite(g) & (g > 0)):
-            raise ValueError("non-finite or non-positive ghost image pixel")
-        return GhostImage(
-            width=width,
-            height=height,
-            mu=self.order.mu,
-            nu=self.order.nu,
-            n_samples=n,
-            g=g,
-            joint_mean=joint_mean,
-            joint2_mean=self.joint2_sum / n,
-            ref_mean=ref_mean,
-            bucket_mean=bucket_mean,
-            bucket2_mean=self.bucket2_sum / n,
-        )
+        n = self.n
+        images = []
+        for i, order in enumerate(self.orders):
+            joint_mean = self.joint[i] / n
+            ref_mean = self.ref[self.nu_index[i]] / n
+            bucket_mean = float(self.bucket[i]) / n
+            if bucket_mean <= 0 or np.any(ref_mean <= 0):
+                raise ValueError("degenerate normalization (zero mean power)")
+            g = joint_mean / (bucket_mean * ref_mean)
+            if not np.all(np.isfinite(g) & (g > 0)):
+                raise ValueError("non-finite or non-positive ghost image pixel")
+            images.append(GhostImage(
+                width=width,
+                height=height,
+                mu=order.mu,
+                nu=order.nu,
+                n_samples=n,
+                g=g,
+                joint_mean=joint_mean,
+                joint2_mean=self.joint2[i] / n,
+                ref_mean=ref_mean,
+                bucket_mean=bucket_mean,
+                bucket2_mean=float(self.bucket2[i]) / n,
+            ))
+        return images
 
 
 def _shard_ranges(n_frames: int, shard_size: int) -> list[tuple[int, int]]:
@@ -240,7 +223,7 @@ def multi_order_pass(
     pair_shift: int = 0,
     groups: np.ndarray | None = None,
 ) -> list[GhostImage]:
-    """One streaming pass over the sample set, one accumulator per order.
+    """One streaming pass over the sample set for all order pairs at once.
 
     Frames are processed in fixed-size shards merged in shard-index order,
     so results are identical for any worker count. ``pair_shift`` pairs the
@@ -266,21 +249,14 @@ def multi_order_pass(
     if pair_shift % samples.n_frames != 0:
         shifted = np.roll(samples.buckets(_BATCH_SIZE), -(pair_shift % samples.n_frames))
 
-    distinct_nu = sorted({o.nu for o in orders})
-
-    def process(shard: tuple[int, int]) -> list[MomentAccumulator]:
+    def process(shard: tuple[int, int]) -> _Sums:
         start, stop = shard
-        accs = [MomentAccumulator(width * height, o) for o in orders]
+        sums = _Sums(orders, width * height)
         for first, refs, buckets in samples.iter_batches(_BATCH_SIZE, start, stop):
             if shifted is not None:
                 buckets = shifted[first : first + buckets.size]
-            # share reference powers between orders with equal nu
-            powers = {nu: _power(refs, nu) for nu in distinct_nu}
-            if groups is not None:
-                powers = {nu: p @ groups for nu, p in powers.items()}
-            for acc in accs:
-                acc._update_with_ref_powers(powers[acc.order.nu], buckets)
-        return accs
+            sums.add_batch(refs, buckets, groups)
+        return sums
 
     shards = _shard_ranges(samples.n_frames, shard_size)
     if workers == 1:
@@ -289,8 +265,7 @@ def multi_order_pass(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(process, shards))
 
-    merged = partials[0]
-    for shard_accs in partials[1:]:
-        for acc, part in zip(merged, shard_accs):
-            acc.merge(part)
-    return [acc.finalize(width, height) for acc in merged]
+    total = partials[0]
+    for part in partials[1:]:
+        total.merge(part)
+    return total.finalize(width, height)

@@ -22,8 +22,6 @@ __all__ = [
     "RNG_LAYOUT",
     "SpeckleConfig",
     "SampleSet",
-    "generate_frame",
-    "bucket_signal",
     "run_simulation",
 ]
 
@@ -75,58 +73,6 @@ def _intensity_block(config: SpeckleConfig, start: int, count: int) -> np.ndarra
     return np.maximum(out, TINY_INTENSITY, out=out)
 
 
-def generate_frame(config: SpeckleConfig, frame_index: int) -> np.ndarray:
-    """Draw the n reference intensities of one frame."""
-    if frame_index < 0:
-        raise ValueError("frame_index must be nonnegative")
-    return _intensity_block(config, frame_index, 1)[0]
-
-
-class _CompensatedSum:
-    """Neumaier running sum with elementwise carry."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self, shape):
-        self.total = np.zeros(shape)
-        self.carry = np.zeros(shape)
-
-    def add(self, term: np.ndarray) -> None:
-        new = self.total + term
-        lost = np.where(
-            np.abs(self.total) >= np.abs(term),
-            (self.total - new) + term,
-            (term - new) + self.total,
-        )
-        self.carry += lost
-        self.total = new
-
-    def value(self) -> np.ndarray:
-        return self.total + self.carry
-
-
-def _compensated_weighted_sum(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Neumaier-compensated sum of weights[j]*block[:, j] over nonzero weights.
-
-    Term order is ascending unit index; zero weights contribute exactly 0
-    and are skipped.
-    """
-    acc = _CompensatedSum(block.shape[0])
-    for j in np.flatnonzero(weights):
-        acc.add(weights[j] * block[:, j])
-    return acc.value()
-
-
-def bucket_signal(reference: np.ndarray, mask: ObjectMask) -> float:
-    """Transmittance-weighted total intensity, compensated summation."""
-    reference = np.asarray(reference, dtype=np.float64)
-    if reference.shape != (mask.n,):
-        raise ValueError(
-            f"reference length {reference.shape} does not match mask n={mask.n}"
-        )
-    return float(_compensated_weighted_sum(reference[None, :], mask.units)[0])
-
-
 @dataclass(frozen=True)
 class SampleSet:
     """Deterministic stream of N speckle frames with buckets attached.
@@ -150,7 +96,11 @@ class SampleSet:
     def iter_batches(
         self, batch_size: int = 2048, start: int = 0, stop: int | None = None
     ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Yield (first_index, reference_block, bucket_vector) batches."""
+        """Yield (first_index, reference_block, bucket_vector) batches.
+
+        Each bucket is one row reduction of its frame, which does not
+        depend on how many rows the batch holds (a BLAS mat-vec may).
+        """
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         stop = self.n_frames if stop is None else stop
@@ -158,7 +108,7 @@ class SampleSet:
         for first in range(start, stop, batch_size):
             count = min(batch_size, stop - first)
             refs = _intensity_block(self.config, first, count)
-            buckets = _compensated_weighted_sum(refs, weights)
+            buckets = np.einsum("fp,p->f", refs, weights)
             yield first, refs, buckets
 
     def buckets(self, batch_size: int = 2048) -> np.ndarray:

@@ -265,7 +265,7 @@ class ErlangModel:
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        pos = x > 0
+        pos = (x > 0) & np.isfinite(x)  # the density is 0 at x = inf
         xp = x[pos]
         out[pos] = np.exp(
             (self.m - 1) * np.log(xp)

@@ -58,6 +58,23 @@ def test_simulate_deterministic_across_workers(tmp_path, capsys):
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
 
+def test_simulate_bytes_independent_of_workers_and_blas_threads(tmp_path):
+    # the six README orders; each run in its own process so that the BLAS
+    # thread count is fixed before numpy loads
+    orders = "-2.7183:0.5,-1.414:0.5,-0.618:0.5,0.618:0.5,1.414:0.5,2.7183:0.5"
+    for workers in (1, 2):
+        env = dict(os.environ, PYTHONPATH=str(Path(fracgi.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=str(workers))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracgi.cli", "simulate", "--n-samples", "20000",
+             "--seed", "7", f"--orders={orders}", "--workers", str(workers),
+             "--out", str(tmp_path / f"w{workers}")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert tree_bytes(tmp_path / "w1") == tree_bytes(tmp_path / "w2")
+
+
 def test_simulate_outputs(tmp_path, capsys):
     code, out, _ = run(
         capsys, "simulate", "--n-samples", "3000", "--orders", "1:1",

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from fracgi.moments import (
     GhostImage,
-    MomentAccumulator,
     MomentOrder,
     OrderDomainError,
+    _Sums,
     multi_order_pass,
 )
 from fracgi.objects import ObjectMask, classify_units, letter_a_mask
@@ -52,41 +52,41 @@ def test_positive_nu_no_warning():
         MomentOrder(mu=-1.414, nu=0.5)
 
 
-# -- accumulator updates -----------------------------------------------------
+# -- per-batch reducer ---------------------------------------------------------
 
 
 def test_accumulate_integer_orders():
-    acc = MomentAccumulator(1, MomentOrder(mu=1.0, nu=1.0))
-    acc.update_batch(*frame([3.0], 2.0))
-    assert acc.joint_sum[0] == pytest.approx(6.0)
-    assert acc.bucket_sum == pytest.approx(2.0)
-    assert acc.ref_sum[0] == pytest.approx(3.0)
-    assert acc.joint2_sum[0] == pytest.approx(36.0)
-    assert acc.n_seen == 1
+    sums = _Sums([MomentOrder(mu=1.0, nu=1.0)], 1)
+    sums.add_batch(*frame([3.0], 2.0))
+    assert sums.joint[0, 0] == pytest.approx(6.0)
+    assert sums.bucket[0] == pytest.approx(2.0)
+    assert sums.ref[0, 0] == pytest.approx(3.0)
+    assert sums.joint2[0, 0] == pytest.approx(36.0)
+    assert sums.n == 1
 
 
 def test_accumulate_negative_mu():
-    acc = MomentAccumulator(1, MomentOrder(mu=-1.0, nu=1.0))
-    acc.update_batch(*frame([3.0], 2.0))
-    assert acc.joint_sum[0] == pytest.approx(1.5)
+    sums = _Sums([MomentOrder(mu=-1.0, nu=1.0)], 1)
+    sums.add_batch(*frame([3.0], 2.0))
+    assert sums.joint[0, 0] == pytest.approx(1.5)
 
 
 def test_accumulate_unit_powers():
-    acc = MomentAccumulator(1, MomentOrder(mu=0.618, nu=0.5))
-    acc.update_batch(*frame([1.0], 1.0))
-    assert acc.joint_sum[0] == pytest.approx(1.0)
+    sums = _Sums([MomentOrder(mu=0.618, nu=0.5)], 1)
+    sums.add_batch(*frame([1.0], 1.0))
+    assert sums.joint[0, 0] == pytest.approx(1.0)
 
 
 def test_power_overflow_raises():
-    acc = MomentAccumulator(1, MomentOrder(mu=-3.0, nu=0.5))
+    sums = _Sums([MomentOrder(mu=-3.0, nu=0.5)], 1)
     with pytest.raises(OrderDomainError):
-        acc.update_batch(*frame([1.0], 1e-300))
+        sums.add_batch(*frame([1.0], 1e-300))
 
 
-def test_frame_size_mismatch():
-    acc = MomentAccumulator(2, MomentOrder(mu=1.0, nu=1.0))
-    with pytest.raises(ValueError):
-        acc.update_batch(*frame([1.0], 1.0))
+def test_power_overflow_names_first_overflowing_order():
+    orders = [MomentOrder(1.0, 0.5), MomentOrder(-3.0, 0.5), MomentOrder(-4.0, 0.5)]
+    with pytest.raises(OrderDomainError, match=r"mu=-3\.0, nu=0\.5"):
+        _Sums(orders, 1).add_batch(*frame([1.0], 1e-300))
 
 
 # -- merge associativity -----------------------------------------------------
@@ -108,28 +108,28 @@ def test_merge_matches_serial(rows, data):
     order = MomentOrder(mu=1.414, nu=0.5)
     frames = [frame([a, b], c) for a, b, c in rows]
 
-    serial = MomentAccumulator(2, order)
+    serial = _Sums([order], 2)
     for f in frames:
-        serial.update_batch(*f)
+        serial.add_batch(*f)
 
     cut = data.draw(st.integers(min_value=1, max_value=len(frames) - 1))
-    left, right = MomentAccumulator(2, order), MomentAccumulator(2, order)
+    left, right = _Sums([order], 2), _Sums([order], 2)
     for f in frames[:cut]:
-        left.update_batch(*f)
+        left.add_batch(*f)
     for f in frames[cut:]:
-        right.update_batch(*f)
+        right.add_batch(*f)
     left.merge(right)
 
-    assert left.n_seen == serial.n_seen
-    np.testing.assert_allclose(left.joint_sum, serial.joint_sum, rtol=1e-12)
-    np.testing.assert_allclose(left.joint2_sum, serial.joint2_sum, rtol=1e-12)
-    np.testing.assert_allclose(left.ref_sum, serial.ref_sum, rtol=1e-12)
-    assert left.bucket_sum == pytest.approx(serial.bucket_sum, rel=1e-12)
+    assert left.n == serial.n
+    np.testing.assert_allclose(left.joint, serial.joint, rtol=1e-12)
+    np.testing.assert_allclose(left.joint2, serial.joint2, rtol=1e-12)
+    np.testing.assert_allclose(left.ref, serial.ref, rtol=1e-12)
+    assert left.bucket[0] == pytest.approx(serial.bucket[0], rel=1e-12)
 
 
 def test_merge_shape_mismatch():
-    a = MomentAccumulator(2, MomentOrder(mu=1.0, nu=1.0))
-    b = MomentAccumulator(3, MomentOrder(mu=1.0, nu=1.0))
+    a = _Sums([MomentOrder(mu=1.0, nu=1.0)], 2)
+    b = _Sums([MomentOrder(mu=1.0, nu=1.0)], 3)
     with pytest.raises(ValueError):
         a.merge(b)
 
@@ -138,18 +138,17 @@ def test_merge_shape_mismatch():
 
 
 def test_finalize_requires_two_frames():
-    acc = MomentAccumulator(1, MomentOrder(mu=1.0, nu=1.0))
-    acc.update_batch(*frame([1.0], 1.0))
-    with pytest.raises(ValueError):
-        acc.finalize()
+    sums = _Sums([MomentOrder(mu=1.0, nu=1.0)], 1)
+    sums.add_batch(*frame([1.0], 1.0))
+    with pytest.raises(ValueError, match="at least 2 frames"):
+        sums.finalize(1, 1)
 
 
 def test_finalize_normalization():
-    order = MomentOrder(mu=1.0, nu=1.0)
-    acc = MomentAccumulator(1, order)
-    acc.update_batch(*frame([2.0], 4.0))
-    acc.update_batch(*frame([1.0], 3.0))
-    image = acc.finalize()
+    sums = _Sums([MomentOrder(mu=1.0, nu=1.0)], 1)
+    sums.add_batch(*frame([2.0], 4.0))
+    sums.add_batch(*frame([1.0], 3.0))
+    (image,) = sums.finalize(1, 1)
     # g = mean(joint) / (mean(bucket)*mean(ref)) = 5.5 / (3.5 * 1.5)
     assert image.g[0] == pytest.approx(5.5 / 5.25)
     assert image.n_samples == 2
@@ -169,12 +168,29 @@ def test_multi_order_matches_manual_accumulation(small_run):
     mask, samples = small_run
     order = MomentOrder(mu=0.618, nu=0.5)
     (image,) = multi_order_pass(samples, [order], shard_size=1024)
-    manual = MomentAccumulator(mask.n, order)
-    for _, refs, buckets in samples.iter_batches():
-        manual.update_batch(refs, buckets)
-    expected = manual.finalize(mask.width, mask.height)
-    np.testing.assert_allclose(image.joint_mean, expected.joint_mean, rtol=1e-12)
-    np.testing.assert_allclose(image.g, expected.g, rtol=1e-12)
+    # independent plain-numpy reference over all frames at once
+    refs = np.concatenate([r for _, r, _ in samples.iter_batches()])
+    bucket_pow = samples.buckets() ** order.mu
+    ref_pow = refs**order.nu
+    joint_mean = (bucket_pow[:, None] * ref_pow).mean(axis=0)
+    g = joint_mean / (bucket_pow.mean() * ref_pow.mean(axis=0))
+    np.testing.assert_allclose(image.joint_mean, joint_mean, rtol=1e-12)
+    np.testing.assert_allclose(image.g, g, rtol=1e-12)
+    assert (image.width, image.height) == (mask.width, mask.height)
+
+
+def test_order_alone_matches_order_in_six_order_run(small_run):
+    # each order's sums are one mat-vec per batch over the shared reference
+    # powers, so the other orders sharing its nu do not touch its bits
+    _, samples = small_run
+    orders = [MomentOrder(mu, 0.5) for mu in (-2.7183, -1.414, -0.618, 0.618, 1.414, 2.7183)]
+    six = multi_order_pass(samples, orders)
+    for order, image in zip(orders, six):
+        (alone,) = multi_order_pass(samples, [order])
+        for field in ("g", "joint_mean", "joint2_mean", "ref_mean"):
+            assert np.array_equal(getattr(alone, field), getattr(image, field))
+        assert alone.bucket_mean == image.bucket_mean
+        assert alone.bucket2_mean == image.bucket2_mean
 
 
 def test_worker_count_bitwise_identical(small_run):

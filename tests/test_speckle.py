@@ -10,8 +10,7 @@ from fracgi.speckle import (
     TINY_INTENSITY,
     SampleSet,
     SpeckleConfig,
-    bucket_signal,
-    generate_frame,
+    _intensity_block,
     run_simulation,
 )
 from fracgi.theory import ErlangModel
@@ -23,16 +22,21 @@ def config(n=16, i0=1.0, seed=42):
     return SpeckleConfig(i0=i0, seed=seed, n=n)
 
 
+def one_frame(cfg, j):
+    """Reference intensities of frame j alone."""
+    return _intensity_block(cfg, j, 1)[0]
+
+
 # -- determinism -------------------------------------------------------------
 
 
 def test_frame_determinism_bitwise():
     cfg = config()
-    a = generate_frame(cfg, 123)
-    b = generate_frame(cfg, 123)
+    a = one_frame(cfg, 123)
+    b = one_frame(cfg, 123)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, generate_frame(cfg, 124))
-    assert not np.array_equal(a, generate_frame(config(seed=43), 123))
+    assert not np.array_equal(a, one_frame(cfg, 124))
+    assert not np.array_equal(a, one_frame(config(seed=43), 123))
 
 
 def test_batches_match_single_frames():
@@ -44,8 +48,9 @@ def test_batches_match_single_frames():
         for row in range(refs.shape[0]):
             collected[first + row] = (refs[row].copy(), buckets[row])
     for j in (0, 13, 49):
-        assert np.array_equal(collected[j][0], generate_frame(cfg, j))
-        assert collected[j][1] == bucket_signal(collected[j][0], mask)
+        assert np.array_equal(collected[j][0], one_frame(cfg, j))
+        expected = math.fsum(collected[j][0] * mask.units)
+        assert collected[j][1] == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 def test_batch_size_does_not_change_results():
@@ -63,21 +68,21 @@ def test_batch_size_does_not_change_results():
 def test_sample_mean_matches_exponential_mean():
     # law of large numbers: 4 standard errors at N=1e6
     cfg = config(n=1_000_000, i0=1.0, seed=11)
-    draws = generate_frame(cfg, 0)
+    draws = one_frame(cfg, 0)
     se = 1.0 / math.sqrt(draws.size)
     assert abs(draws.mean() - 1.0) < 4 * se
 
 
 def test_fractional_moment_of_reference():
     cfg = config(n=1_000_000, i0=1.0, seed=12)
-    powered = generate_frame(cfg, 0) ** 0.5
+    powered = one_frame(cfg, 0) ** 0.5
     se = powered.std() / math.sqrt(powered.size)
     assert abs(powered.mean() - GAMMA_3_2) < 4 * se
 
 
 def test_per_unit_variance():
     cfg = config(n=200_000, i0=2.5, seed=13)
-    draws = generate_frame(cfg, 0)
+    draws = one_frame(cfg, 0)
     # exponential variance = i0^2; SE of the variance estimate ~ i0^2*sqrt(8/N)
     est = draws.var()
     se = 2.5**2 * math.sqrt(8.0 / draws.size)
@@ -86,7 +91,7 @@ def test_per_unit_variance():
 
 def test_all_draws_positive():
     cfg = config(n=100_000, seed=3)
-    assert generate_frame(cfg, 7).min() > 0
+    assert one_frame(cfg, 7).min() > 0
 
 
 @pytest.mark.parametrize("m", [2, 5])
@@ -112,18 +117,17 @@ def test_bucket_lag1_autocorrelation():
 
 
 def test_bucket_examples():
-    m = ObjectMask(width=2, height=1, units=np.array([1.0, 0.0]))
-    assert bucket_signal(np.array([3.0, 5.0]), m) == 3.0
-    z = ObjectMask(width=2, height=1, units=np.zeros(2))
-    assert bucket_signal(np.array([3.0, 5.0]), z) == 0.0
-    w = ObjectMask(width=2, height=1, units=np.array([0.5, 0.25]))
-    assert bucket_signal(np.array([2.0, 4.0]), w) == 2.0
+    def draw(units):
+        mask = ObjectMask(width=2, height=1, units=np.array(units))
+        ((_, refs, buckets),) = run_simulation(config(n=2), mask, 5).iter_batches()
+        return refs, buckets
 
-
-def test_bucket_length_mismatch():
-    m = ObjectMask(width=2, height=1, units=np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        bucket_signal(np.array([1.0, 2.0, 3.0]), m)
+    refs, b = draw([1.0, 0.0])
+    assert np.array_equal(b, refs[:, 0])
+    _, b = draw([0.0, 0.0])
+    assert np.array_equal(b, np.zeros(5))
+    refs, b = draw([0.5, 0.25])
+    np.testing.assert_allclose(b, 0.5 * refs[:, 0] + 0.25 * refs[:, 1], rtol=1e-15)
 
 
 def test_bucket_partial_sum_bound():
@@ -203,7 +207,7 @@ def test_frames_are_one_philox_stream(n, start, count):
     expected = stream_frames(cfg, start, count)
     assert np.array_equal(batch_frames(cfg, start, count, batch_size=3), expected)
     for row in range(count):
-        assert np.array_equal(generate_frame(cfg, start + row), expected[row])
+        assert np.array_equal(one_frame(cfg, start + row), expected[row])
 
 
 @pytest.mark.parametrize("n", [1, 7, 49])
@@ -216,7 +220,7 @@ def test_stream_layout_past_64bit_counter(n):
     cfg = config(n=n, seed=77)
     expected = stream_frames(cfg, start, count, anchor=anchor)
     assert np.array_equal(batch_frames(cfg, start, count, batch_size=4), expected)
-    assert np.array_equal(generate_frame(cfg, start + count - 1), expected[-1])
+    assert np.array_equal(one_frame(cfg, start + count - 1), expected[-1])
 
 
 def test_multi_order_pass_identical_for_uneven_shards():

@@ -192,6 +192,15 @@ def test_erlang_zero_at_origin_for_m2():
     assert model.pdf(np.array([0.0]))[0] == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [1, 3])
+def test_erlang_density_vanishes_at_infinity(m):
+    model = ErlangModel(m=m, scale=1.0)
+    assert model.pdf(np.inf) == 0.0
+    np.testing.assert_array_equal(model.pdf(np.array([np.inf, -np.inf])), [0.0, 0.0])
+    assert joint_pdf_binary(m, 1.0, np.inf, 0.5, 0) == 0.0
+
+
 def test_erlang_mode():
     model = ErlangModel(m=2, scale=1.0)
     xs = np.linspace(0.5, 1.5, 2001)
