@@ -20,7 +20,6 @@ from .objects import (
     UnitClasses,
     block_mask,
     classify_units,
-    histogram,
     letter_a_mask,
     load_object,
     save_object_csv,
@@ -29,7 +28,6 @@ from .speckle import SampleSet, SpeckleConfig, run_simulation
 from .theory import (
     AnalyticPrediction,
     DomainError,
-    ErlangModel,
     GammaMixtureModel,
     bucket_pdf_general,
     joint_pdf_binary,

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 runtime/validation failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -147,8 +148,10 @@ def cmd_simulate(args) -> int:
         v_emp = rp_emp = mean_sig = mean_bg = None
         if classes.one_units.size and classes.zero_units.size:
             im = metrics.image_metrics(image, classes)
-            v_emp, rp_emp = im.v_empirical, im.rp_empirical
-            mean_sig, mean_bg = im.mean_signal, im.mean_background
+            v_emp, mean_sig, mean_bg = im.v_empirical, im.mean_signal, im.mean_background
+            # without a finite estimator variance the empirical SNR estimates nothing
+            if theory.validity_domain(mask, order.mu, order.nu).variance_finite:
+                rp_emp = im.rp_empirical
         v_ana = rp_ana = None
         if classes.is_binary and classes.m is not None and classes.m >= 2:
             pred = theory.predict(classes.m, order.mu, order.nu, args.n_samples, args.i0)
@@ -185,21 +188,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_predict(args) -> int:
     pred = theory.predict(args.m, args.mu, args.nu, args.n, args.i0)
-    payload = {
-        "m": pred.m,
-        "mu": pred.mu,
-        "nu": pred.nu,
-        "i0": pred.i0,
-        "n_samples": pred.n_samples,
-        "moment_background": pred.moment_background,
-        "moment_signal": pred.moment_signal,
-        "visibility": pred.visibility,
-        "peak_snr": pred.peak_snr,
-        "rp_per_sqrt_n": pred.rp_per_sqrt_n,
-        "moment_finite": pred.moment_finite,
-        "variance_finite": pred.variance_finite,
-    }
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    print(json.dumps(dataclasses.asdict(pred), sort_keys=True, separators=(",", ":")))
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Object transmittance masks: loading, classification, value histograms.
+"""Object transmittance masks: loading, saving, classification.
 
 A mask is the imaging target: one transmittance value t in [0, 1] per
 object/reference-plane unit, stored flat in raster (row-major) order.
@@ -18,8 +18,8 @@ __all__ = [
     "UnitClasses",
     "load_object",
     "save_object_csv",
+    "mask_csv_text",
     "classify_units",
-    "histogram",
     "letter_a_mask",
     "block_mask",
 ]
@@ -94,16 +94,6 @@ def classify_units(mask: ObjectMask, tol: float = 0.0) -> UnitClasses:
     frac = np.flatnonzero((t > tol) & (t < 1.0 - tol))
     m = int(one.size) if frac.size == 0 else None
     return UnitClasses(zero_units=zero, one_units=one, fractional_units=frac, m=m)
-
-
-def histogram(mask: ObjectMask) -> list[tuple[float, int]]:
-    """Distinct transmittance values with multiplicities, sorted ascending.
-
-    Grouping is by exact floating equality; values originate from
-    finite-precision sources, so this is stable.
-    """
-    values, counts = np.unique(mask.units, return_counts=True)
-    return [(float(v), int(c)) for v, c in zip(values, counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +190,14 @@ def _parse_csv(raw: bytes, path: Path) -> tuple[int, int, np.ndarray]:
     return arr.shape[1], arr.shape[0], arr.ravel()
 
 
+def mask_csv_text(mask: ObjectMask) -> str:
+    """The mask as CSV text with full decimal precision (exact round-trip)."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in mask.grid())
+
+
 def save_object_csv(mask: ObjectMask, path) -> None:
     """Write the mask as CSV with full decimal precision (exact round-trip)."""
-    grid = mask.grid()
-    lines = [",".join(repr(float(v)) for v in row) for row in grid]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(mask_csv_text(mask), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

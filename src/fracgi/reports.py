@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .moments import GhostImage
-from .objects import ObjectMask
+from .objects import ObjectMask, mask_csv_text
 from .speckle import RNG_LAYOUT
 
 __all__ = [
@@ -161,9 +161,8 @@ _REQUIRED_KEYS = (
 
 
 def mask_digest(mask: ObjectMask) -> str:
-    """Stable content digest of a mask (sha256 of its CSV serialization)."""
-    rows = [",".join(repr(float(v)) for v in row) for row in mask.grid()]
-    return hashlib.sha256(("\n".join(rows) + "\n").encode()).hexdigest()
+    """Stable content digest of a mask: sha256 of the CSV that save_object_csv writes."""
+    return hashlib.sha256(mask_csv_text(mask).encode("utf-8")).hexdigest()
 
 
 def write_report(report: RunReport, path) -> None:

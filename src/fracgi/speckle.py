@@ -90,9 +90,6 @@ class SampleSet:
         if self.config.n != self.mask.n:
             raise ValueError("config unit count does not match mask")
 
-    def __len__(self) -> int:
-        return self.n_frames
-
     def iter_batches(
         self, batch_size: int = 2048, start: int = 0, stop: int | None = None
     ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:

@@ -10,10 +10,12 @@ from Gamma-function ratios:
                            / (G(m+mu+nu)G(m) + G(m+mu)G(m+nu))
 
 with G the Gamma function; peak SNR combines the order-doubled moment with
-the squared signal moment and the sampling count. General (grayscale)
-masks get their bucket law as a mixture of Gamma laws with nonnegative
-weights (the sum of one Gamma law per transmittance level), and moments
-as one integral over the joint bucket/reference Laplace transform.
+the squared signal moment and the sampling count. Every bucket law is one
+GammaMixtureModel: a mixture of Gamma laws with nonnegative weights (the
+sum of one Gamma law per transmittance level), whose one-term case is the
+binary Erlang density above; the binary joint density is the Erlang law
+of the other units times the pixel's exponential. General moments are one
+integral over the joint bucket/reference Laplace transform.
 
 Everything is evaluated in log space with one final exponentiation; the
 Gamma ratios overflow doubles long before the results do.
@@ -41,7 +43,6 @@ __all__ = [
     "peak_snr_per_sqrt_n",
     "validity_domain",
     "predict",
-    "ErlangModel",
     "GammaMixtureModel",
     "joint_pdf_binary",
     "bucket_pdf_general",
@@ -246,46 +247,8 @@ def predict(
 
 
 @dataclass(frozen=True)
-class ErlangModel:
-    """Bucket law for binary masks: sum of m unit-weight exponentials."""
-
-    m: int
-    scale: float  # I0
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise DomainError("Erlang shape m >= 1 required")
-        if self.scale <= 0:
-            raise DomainError("scale must be positive")
-
-    @property
-    def mean(self) -> float:
-        return self.m * self.scale
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = (x > 0) & np.isfinite(x)  # the density is 0 at x = inf
-        xp = x[pos]
-        out[pos] = np.exp(
-            (self.m - 1) * np.log(xp)
-            - xp / self.scale
-            - gammaln(self.m)
-            - self.m * math.log(self.scale)
-        )
-        if self.m == 1:
-            out = np.where(x == 0, 1.0 / self.scale, out)
-        return out if out.ndim else float(out)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = gammainc(self.m, np.maximum(x, 0.0) / self.scale)
-        return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
 class GammaMixtureModel:
-    """Bucket law for grayscale masks: a mixture of Gamma(shape+n, scale) laws
+    """Bucket law of any mask: a mixture of Gamma(shape+n, scale) laws
     with nonnegative weights (Moschopoulos 1985, Ann. Inst. Statist. Math. 37:541).
 
     With y = x/scale and the Poisson terms d_t(y) = y^t e^-y / t!, the density
@@ -300,7 +263,11 @@ class GammaMixtureModel:
     mean: float          # I0 * sum t
 
     def pdf(self, x):
-        return _poisson_sum(self._reduced(x), self.shape - 1, self.weights / self.scale)
+        x = np.asarray(x, dtype=float)
+        out = _poisson_sum(self._reduced(x), self.shape - 1, self.weights / self.scale)
+        # x < 0 shares y = 0 with x = 0, where a shape-1 law has density 1/scale
+        out = np.where(x < 0, 0.0, out)
+        return out if out.ndim else float(out)
 
     def cdf(self, x):
         y = self._reduced(x)
@@ -308,13 +275,18 @@ class GammaMixtureModel:
         return np.minimum(head + gammainc(self.shape + self.weights.size - 1, y), 1.0)
 
     def _reduced(self, x):
-        # y = x/scale; x <= 0 maps to y = 0 (zero density and CDF), x = inf to
-        # the largest double, where every Poisson term underflows to zero
+        # y = x/scale; x <= 0 maps to y = 0 (zero CDF), x = inf to the
+        # largest double, where every Poisson term underflows to zero
         return np.clip(np.asarray(x, dtype=float) / self.scale, 0.0, np.finfo(float).max)
 
 
+def _erlang(shape: int, scale: float) -> GammaMixtureModel:
+    """Gamma(shape, scale) law of a sum of shape i.i.d. exponentials: one term."""
+    return GammaMixtureModel(scale=scale, shape=shape, weights=np.ones(1), mean=shape * scale)
+
+
 def _poisson_sum(y, t0: int, coef: np.ndarray):
-    """sum_j coef[j] d_(t0+j)(y) for y >= 0 and t0 >= 1, d_t the Poisson terms.
+    """sum_j coef[j] d_(t0+j)(y) for y >= 0 and t0 >= 0, d_t the Poisson terms.
 
     Runs d_t = d_(t-1) y/t over cache-sized blocks of points. Every
     _RESTART terms it restarts from the exact log-space term, so a term
@@ -330,7 +302,8 @@ def _poisson_sum(y, t0: int, coef: np.ndarray):
         for j, c in enumerate(coef):  # j = 0 starts exactly
             t = t0 + j
             if j % _RESTART == 0:
-                term = np.exp(t * log_y - yb - math.lgamma(t + 1))
+                # d_0 = e^-y, also at y = 0, where t*log(y) would be 0*(-inf)
+                term = np.exp((t * log_y if t else 0.0) - yb - math.lgamma(t + 1))
             else:
                 term *= yb
                 term *= 1.0 / t
@@ -342,9 +315,10 @@ def _poisson_sum(y, t0: int, coef: np.ndarray):
 def joint_pdf_binary(m: int, i0: float, i_b, i_i, t_i: int):
     """Joint bucket/reference density for binary masks.
 
-    The t=1 branch lives on i_i <= i_b (the reference pixel is one summand
-    of the bucket); the t=0 branch factorizes into Erlang times
-    exponential.
+    The units are independent, so the bucket is t_i*I_i plus an independent
+    Erlang(m - t_i, I0) remainder: the density is the remainder's at
+    i_b - t_i*i_i times the pixel's exponential density. For t_i = 1 it
+    vanishes off i_i <= i_b (the pixel is one summand of the bucket).
     """
     i_b = np.asarray(i_b, dtype=float)
     i_i = np.asarray(i_i, dtype=float)
@@ -352,34 +326,22 @@ def joint_pdf_binary(m: int, i0: float, i_b, i_i, t_i: int):
         raise DomainError("intensities must be nonnegative")
     if t_i not in (0, 1):
         raise DomainError("t_i must be 0 or 1 for the binary joint density")
-    if t_i == 1:
-        if m < 2:
-            raise DomainError("t=1 joint density requires m >= 2")
-        diff = i_b - i_i
-        inside = diff >= 0
-        out = np.zeros(np.broadcast(i_b, i_i).shape)
-        d = np.broadcast_to(diff, out.shape)[inside]
-        b = np.broadcast_to(i_b, out.shape)[inside]
-        with np.errstate(divide="ignore"):
-            logd = np.where(d > 0, np.log(np.where(d > 0, d, 1.0)), 0.0)
-        vals = (m - 2) * logd - b / i0 - gammaln(m - 1) - m * math.log(i0)
-        term = np.exp(vals)
-        if m == 2:
-            term = np.where(d == 0, np.exp(-b / i0 - 2 * math.log(i0)), term)
-        else:
-            term = np.where(d == 0, 0.0, term)
-        out[inside] = term
-        return out if out.ndim else float(out)
-    bucket = ErlangModel(m=m, scale=i0).pdf(i_b)
-    ref = np.exp(-i_i / i0) / i0
-    out = np.asarray(bucket * ref)
+    if m - t_i < 1:
+        raise DomainError(f"t={t_i} joint density requires m >= {1 + t_i}")
+    if not i0 > 0:
+        raise DomainError("i0 must be positive")
+    remainder = i_b - i_i if t_i else i_b
+    out = _erlang(m - t_i, i0).pdf(remainder) * np.exp(-i_i / i0) / i0
+    # the pixel's own density is 0 at i_i = inf, whatever inf - inf gave
+    out = np.where(np.isinf(i_i), 0.0, out)
     return out if out.ndim else float(out)
 
 
 def bucket_pdf_general(mask: ObjectMask, i0: float):
-    """Bucket density of any mask: Erlang for one nonzero level, otherwise
-    the Gamma mixture of the sum of independent Gamma(k_j, a_j), a_j = I0*t_j
-    over the distinct nonzero levels and k_j their counts.
+    """Bucket density of any mask as a GammaMixtureModel: one Erlang term for
+    one nonzero level, otherwise the Gamma mixture of the sum of independent
+    Gamma(k_j, a_j), a_j = I0*t_j over the distinct nonzero levels and k_j
+    their counts.
 
     With theta = min a_j, q_j = 1 - theta/a_j and rho = sum k_j, the bucket
     is Gamma(rho+N, theta), N = sum_j NegBin(k_j, theta/a_j). P(N = n) is
@@ -395,7 +357,7 @@ def bucket_pdf_general(mask: ObjectMask, i0: float):
         raise DomainError("all-zero mask has no bucket distribution")
     taus, counts = np.unique(nonzero, return_counts=True)
     if taus.size == 1:
-        return ErlangModel(m=int(counts[0]), scale=i0 * float(taus[0]))
+        return _erlang(int(counts[0]), i0 * float(taus[0]))
 
     k = counts.astype(float)
     p = taus[0] / taus  # theta / a_j

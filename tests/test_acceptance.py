@@ -20,7 +20,6 @@ from fracgi.moments import MomentOrder, multi_order_pass
 from fracgi.objects import ObjectMask, block_mask, classify_units, letter_a_mask
 from fracgi.speckle import SpeckleConfig, run_simulation
 from fracgi.theory import (
-    ErlangModel,
     bucket_pdf_general,
     moment_background,
     moment_general,
@@ -170,7 +169,7 @@ def test_criterion_6_distributional_checks():
     for m in (2, 5):
         mask = ObjectMask(width=m, height=1, units=np.ones(m))
         samples = run_simulation(SpeckleConfig(i0=1.0, seed=21 + m, n=m), mask, 100_000)
-        model = ErlangModel(m=m, scale=1.0)
+        model = bucket_pdf_general(mask, 1.0)
         p = scipy_stats.kstest(samples.buckets(), lambda x: model.cdf(x)).pvalue
         ok &= p > 1e-3
         details.append(f"KS m={m}: p={p:.3f}")

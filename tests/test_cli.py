@@ -102,6 +102,22 @@ def test_simulate_mask_file_with_binarize(tmp_path, capsys):
     assert report.results[0].v_analytic is not None  # binarized mask has m=2
 
 
+def test_simulate_omits_empirical_snr_of_infinite_variance_orders(tmp_path, capsys):
+    # m = 2: mu=-1.5, nu=0.1 has a moment (m+mu+nu > 0) but m+2mu+2nu < 0
+    mask_path = tmp_path / "obj.csv"
+    mask_path.write_text("1,1\n0,0\n")
+    code, out, _ = run(
+        capsys, "simulate", "--object", str(mask_path), "--n-samples", "20000",
+        "--orders=-1.5:0.1,1:1", "--seed", "1", "--out", str(tmp_path / "r"),
+    )
+    assert code == 0
+    heavy, light = read_report(tmp_path / "r" / "report.json").results
+    assert heavy.rp_empirical is None and heavy.rp_analytic is None
+    assert heavy.v_empirical is not None
+    assert "Rp_emp=None" in out.splitlines()[0]
+    assert light.rp_empirical > 0 and light.rp_analytic > 0
+
+
 def test_simulate_mu_zero_usage_error(tmp_path, capsys):
     code, _, err = run(
         capsys, "simulate", "--n-samples", "100", "--orders", "0:0.5",

@@ -8,7 +8,6 @@ from fracgi.objects import (
     ObjectMask,
     block_mask,
     classify_units,
-    histogram,
     letter_a_mask,
     load_object,
     save_object_csv,
@@ -131,34 +130,6 @@ def test_classify_partition():
         [classes.zero_units, classes.one_units, classes.fractional_units]
     )
     assert sorted(merged.tolist()) == list(range(5))
-
-
-# -- histogram ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "values,expected",
-    [
-        ([0, 1, 1, 0.5, 1], [(0.0, 1), (0.5, 1), (1.0, 3)]),
-        ([1, 1, 1, 1], [(1.0, 4)]),
-        ([0.2, 0.2, 0.7], [(0.2, 2), (0.7, 1)]),
-    ],
-)
-def test_histogram_examples(values, expected):
-    assert histogram(make_mask(values)) == expected
-
-
-@given(
-    st.lists(
-        st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9, 1.0]), min_size=1, max_size=64
-    )
-)
-def test_histogram_multiplicities_sum_to_n(values):
-    mask = make_mask(values)
-    counts = [c for _, c in histogram(mask)]
-    assert sum(counts) == mask.n
-    vals = [v for v, _ in histogram(mask)]
-    assert vals == sorted(vals)
 
 
 # -- round trips -------------------------------------------------------------

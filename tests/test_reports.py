@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from fracgi.moments import GhostImage
-from fracgi.objects import letter_a_mask
+from fracgi.objects import ObjectMask, letter_a_mask, save_object_csv
 from fracgi.reports import (
     SWEEP_HEADER,
     OrderResult,
@@ -206,3 +207,12 @@ def test_report_malformed_json(tmp_path):
 def test_mask_digest_stable():
     assert mask_digest(letter_a_mask()) == mask_digest(letter_a_mask())
     assert len(mask_digest(letter_a_mask())) == 64
+
+
+@pytest.mark.parametrize("mask", [
+    letter_a_mask(),
+    ObjectMask(width=3, height=2, units=np.array([0.1, 1 / 3, 0.0, 1.0, 0.25, 2**-40])),
+])
+def test_mask_digest_hashes_the_saved_csv(tmp_path, mask):
+    save_object_csv(mask, tmp_path / "mask.csv")
+    assert mask_digest(mask) == hashlib.sha256((tmp_path / "mask.csv").read_bytes()).hexdigest()

@@ -13,7 +13,7 @@ from fracgi.speckle import (
     _intensity_block,
     run_simulation,
 )
-from fracgi.theory import ErlangModel
+from fracgi.theory import bucket_pdf_general
 
 GAMMA_3_2 = 0.886226925452758  # sqrt(pi)/2, half-integer Gamma identity
 
@@ -99,7 +99,7 @@ def test_bucket_histogram_ks_against_erlang(m):
     mask = ObjectMask(width=m, height=1, units=np.ones(m))
     cfg = config(n=m, seed=21 + m)
     samples = run_simulation(cfg, mask, 100_000)
-    model = ErlangModel(m=m, scale=1.0)
+    model = bucket_pdf_general(mask, 1.0)
     result = stats.kstest(samples.buckets(), lambda x: model.cdf(x))
     assert result.pvalue > 1e-3
 

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import gammainc
 
 import fracgi
 from fracgi.objects import ObjectMask, letter_a_mask
 from fracgi.theory import (
     DomainError,
-    ErlangModel,
     GammaMixtureModel,
     QuadratureError,
     bucket_pdf_general,
@@ -181,34 +181,55 @@ def test_validity_from_grayscale_mask():
 # -- bucket densities --------------------------------------------------------
 
 
+def erlang(m, scale):
+    """Bucket law of m unit-transmittance units."""
+    return bucket_pdf_general(ObjectMask(width=m, height=1, units=np.ones(m)), scale)
+
+
 def test_erlang_m1_is_exponential():
-    model = ErlangModel(m=1, scale=2.0)
+    model = erlang(1, 2.0)
     xs = np.array([0.0, 0.5, 3.0])
     np.testing.assert_allclose(model.pdf(xs), np.exp(-xs / 2.0) / 2.0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("m", [1, 2, 5, 20, 200])
+@pytest.mark.parametrize("scale", [0.3, 2.5])
+def test_erlang_matches_scipy_gamma(m, scale):
+    law = stats.gamma(m, scale=scale)
+    xs = law.ppf(np.linspace(1e-6, 1 - 1e-6, 501))
+    model = erlang(m, scale)
+    np.testing.assert_allclose(model.pdf(xs), law.pdf(xs), rtol=1e-12)
+    np.testing.assert_array_equal(model.cdf(xs), gammainc(m, xs / scale))
+
+
 def test_erlang_zero_at_origin_for_m2():
-    model = ErlangModel(m=2, scale=1.0)
+    model = erlang(2, 1.0)
     assert model.pdf(np.array([0.0]))[0] == 0.0
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("m", [1, 3])
 def test_erlang_density_vanishes_at_infinity(m):
-    model = ErlangModel(m=m, scale=1.0)
-    assert model.pdf(np.inf) == 0.0
-    np.testing.assert_array_equal(model.pdf(np.array([np.inf, -np.inf])), [0.0, 0.0])
+    # m = 1 is the exponential law: 1/scale at 0, nothing below 0
+    model = erlang(m, 2.0)
+    xs = [-np.inf, -1.0, 0.0, np.inf]
+    pdf = [0.0, 0.0, 0.5 if m == 1 else 0.0, 0.0]
+    cdf = [0.0, 0.0, 0.0, 1.0]
+    assert [model.pdf(x) for x in xs] == pdf
+    assert [model.cdf(x) for x in xs] == cdf
+    np.testing.assert_array_equal(model.pdf(np.array(xs)), pdf)
+    np.testing.assert_array_equal(model.cdf(np.array(xs)), cdf)
     assert joint_pdf_binary(m, 1.0, np.inf, 0.5, 0) == 0.0
 
 
 def test_erlang_mode():
-    model = ErlangModel(m=2, scale=1.0)
+    model = erlang(2, 1.0)
     xs = np.linspace(0.5, 1.5, 2001)
     assert xs[np.argmax(model.pdf(xs))] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_erlang_normalization_and_cdf():
-    model = ErlangModel(m=5, scale=1.3)
+    model = erlang(5, 1.3)
     total, _ = quad(lambda x: model.pdf(np.array([x]))[0], 0, np.inf)
     assert total == pytest.approx(1.0, abs=1e-9)
     assert model.cdf(np.array([1e4]))[0] == pytest.approx(1.0, abs=1e-12)
@@ -216,11 +237,16 @@ def test_erlang_normalization_and_cdf():
 
 def test_joint_pdf_support_constraint():
     assert joint_pdf_binary(5, 1.0, 2.0, 2.5, 1) == 0.0
+    # at i_i = i_b only m = 2 leaves mass: the one other unit is exactly 0
+    assert joint_pdf_binary(2, 2.0, 1.5, 1.5, 1) == pytest.approx(math.exp(-0.75) / 4, rel=1e-15)
+    assert joint_pdf_binary(3, 2.0, 1.5, 1.5, 1) == 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert joint_pdf_binary(3, 1.0, np.inf, np.inf, 1) == 0.0
 
 
 def test_joint_pdf_background_factorizes():
     val = joint_pdf_binary(5, 1.0, 3.0, 0.7, 0)
-    bucket = ErlangModel(m=5, scale=1.0).pdf(np.array([3.0]))[0]
+    bucket = 3.0**4 * math.exp(-3.0) / math.factorial(4)
     assert val == pytest.approx(bucket * math.exp(-0.7), rel=1e-12)
 
 
@@ -228,7 +254,7 @@ def test_joint_pdf_background_factorizes():
 def test_joint_pdf_marginalizes_to_bucket_pdf(m):
     for i_b in (0.8, float(m), 2.0 * m):
         val, _ = quad(lambda ii: float(joint_pdf_binary(m, 1.0, i_b, ii, 1)), 0, i_b)
-        target = float(ErlangModel(m=m, scale=1.0).pdf(np.array([i_b]))[0])
+        target = float(stats.gamma(m).pdf(i_b))
         assert val == pytest.approx(target, rel=1e-9)
 
 
@@ -242,15 +268,17 @@ def test_joint_pdf_m1_signal_rejected():
 
 def test_binary_mask_gives_erlang():
     model = bucket_pdf_general(letter_a_mask(), 1.0)
-    assert isinstance(model, ErlangModel)
-    assert model.m == 20
+    assert isinstance(model, GammaMixtureModel)
+    assert (model.shape, model.scale, model.mean) == (20, 1.0, 20.0)
+    assert model.weights.tolist() == [1.0]
 
 
 def test_single_unit_modified_average():
     mask = ObjectMask(width=1, height=1, units=np.array([0.5]))
     model = bucket_pdf_general(mask, 1.0)
-    assert isinstance(model, ErlangModel)
-    assert model.m == 1
+    assert isinstance(model, GammaMixtureModel)
+    assert (model.shape, model.scale) == (1, 0.5)
+    assert model.weights.tolist() == [1.0]
     assert model.mean == pytest.approx(0.5)
 
 
@@ -424,7 +452,7 @@ def test_clustered_poles_fall_back_to_inversion():
     model = bucket_pdf_general(mask, 1.0)
     assert isinstance(model, GammaMixtureModel)
     # indistinguishable from the merged-pole Erlang limit at this gap
-    limit = ErlangModel(m=2, scale=0.5)
+    limit = stats.gamma(2, scale=0.5)
     xs = np.array([0.3, 1.0, 2.5])
     np.testing.assert_allclose(model.pdf(xs), limit.pdf(xs), rtol=1e-7)
     np.testing.assert_allclose(model.cdf(xs), limit.cdf(xs), rtol=1e-7)
