@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 DEFAULT_SHARD_SIZE = 8192
-_BATCH_SIZE = 2048  # fixed so shard internals never depend on worker count
 
 
 class OrderDomainError(ValueError):
@@ -124,7 +123,9 @@ class _Sums:
     ``joint``/``joint2`` (orders x pixels) sum I_B^mu I_i^nu and its square
     (orders doubled), ``ref`` (distinct nu x pixels) sums I_i^nu, and
     ``bucket``/``bucket2`` (orders) sum I_B^mu and I_B^{2mu}. Every summand
-    is positive, so plain sums err by about (N/2048 + 11) u relative
+    is positive, and a frame's term goes through at most B - 1 additions in
+    its batch of B frames, S/B in its shard of S frames and N/S across
+    shards, so plain sums err by at most about (B + S/B + N/S) u relative
     (Higham 2002, Accuracy and Stability of Numerical Algorithms, sec. 4).
     """
 
@@ -247,12 +248,12 @@ def multi_order_pass(
 
     shifted = None
     if pair_shift % samples.n_frames != 0:
-        shifted = np.roll(samples.buckets(_BATCH_SIZE), -(pair_shift % samples.n_frames))
+        shifted = np.roll(samples.buckets(), -(pair_shift % samples.n_frames))
 
     def process(shard: tuple[int, int]) -> _Sums:
         start, stop = shard
         sums = _Sums(orders, width * height)
-        for first, refs, buckets in samples.iter_batches(_BATCH_SIZE, start, stop):
+        for first, refs, buckets in samples.iter_batches(start=start, stop=stop):
             if shifted is not None:
                 buckets = shifted[first : first + buckets.size]
             sums.add_batch(refs, buckets, groups)

@@ -34,6 +34,11 @@ RNG_LAYOUT = "philox-stream"
 
 _PHILOX_BLOCK = 4  # 64-bit outputs per Philox counter value
 
+# a batch holds at most 2^18 doubles (2 MB, one core's L2 cache), so each
+# elementwise stage over it runs in cache rather than through main memory
+_BATCH_VALUES = 2**18
+_MAX_BATCH_FRAMES = 2048
+
 
 @dataclass(frozen=True)
 class SpeckleConfig:
@@ -90,14 +95,28 @@ class SampleSet:
         if self.config.n != self.mask.n:
             raise ValueError("config unit count does not match mask")
 
+    @property
+    def batch_size(self) -> int:
+        """Frames per batch: the largest power of two no greater than
+        2^18 / n, capped at 2048 and at least 1.
+
+        It depends only on the unit count n, so how frames are grouped
+        into batches, and every sum over a batch, is the same for any
+        worker or BLAS thread count.
+        """
+        fit = max(_BATCH_VALUES // self.config.n, 1)
+        return min(1 << (fit.bit_length() - 1), _MAX_BATCH_FRAMES)
+
     def iter_batches(
-        self, batch_size: int = 2048, start: int = 0, stop: int | None = None
+        self, batch_size: int | None = None, start: int = 0, stop: int | None = None
     ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Yield (first_index, reference_block, bucket_vector) batches.
+        """Yield (first_index, reference_block, bucket_vector) batches of
+        ``batch_size`` frames, by default ``self.batch_size``.
 
         Each bucket is one row reduction of its frame, which does not
         depend on how many rows the batch holds (a BLAS mat-vec may).
         """
+        batch_size = self.batch_size if batch_size is None else batch_size
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         stop = self.n_frames if stop is None else stop
@@ -108,7 +127,7 @@ class SampleSet:
             buckets = np.einsum("fp,p->f", refs, weights)
             yield first, refs, buckets
 
-    def buckets(self, batch_size: int = 2048) -> np.ndarray:
+    def buckets(self, batch_size: int | None = None) -> np.ndarray:
         """All N bucket values in frame order."""
         out = np.empty(self.n_frames)
         for first, refs, buckets in self.iter_batches(batch_size):

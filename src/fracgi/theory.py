@@ -330,9 +330,10 @@ def joint_pdf_binary(m: int, i0: float, i_b, i_i, t_i: int):
         raise DomainError(f"t={t_i} joint density requires m >= {1 + t_i}")
     if not i0 > 0:
         raise DomainError("i0 must be positive")
-    remainder = i_b - i_i if t_i else i_b
-    out = _erlang(m - t_i, i0).pdf(remainder) * np.exp(-i_i / i0) / i0
     # the pixel's own density is 0 at i_i = inf, whatever inf - inf gave
+    with np.errstate(invalid="ignore"):
+        remainder = i_b - i_i if t_i else i_b
+    out = _erlang(m - t_i, i0).pdf(remainder) * np.exp(-i_i / i0) / i0
     out = np.where(np.isinf(i_i), 0.0, out)
     return out if out.ndim else float(out)
 

@@ -60,19 +60,25 @@ def test_simulate_deterministic_across_workers(tmp_path, capsys):
 
 def test_simulate_bytes_independent_of_workers_and_blas_threads(tmp_path):
     # the six README orders; each run in its own process so that the BLAS
-    # thread count is fixed before numpy loads
+    # thread count is fixed before numpy loads. Letter A runs in 2048-frame
+    # batches, the 64x64 mask in 64-frame batches; each run has several shards.
     orders = "-2.7183:0.5,-1.414:0.5,-0.618:0.5,0.618:0.5,1.414:0.5,2.7183:0.5"
-    for workers in (1, 2):
-        env = dict(os.environ, PYTHONPATH=str(Path(fracgi.__file__).parents[1]),
-                   OPENBLAS_NUM_THREADS=str(workers))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fracgi.cli", "simulate", "--n-samples", "20000",
-             "--seed", "7", f"--orders={orders}", "--workers", str(workers),
-             "--out", str(tmp_path / f"w{workers}")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-    assert tree_bytes(tmp_path / "w1") == tree_bytes(tmp_path / "w2")
+    wide = tmp_path / "wide.pgm"
+    ones = np.random.default_rng(3).random(64 * 64) < 0.3
+    wide.write_bytes(b"P5\n64 64\n255\n" + np.where(ones, 255, 0).astype(np.uint8).tobytes())
+    for name, args in (("letter", ["--n-samples", "20000"]),
+                       ("wide", ["--n-samples", "10000", "--object", str(wide)])):
+        for workers in (1, 2):
+            env = dict(os.environ, PYTHONPATH=str(Path(fracgi.__file__).parents[1]),
+                       OPENBLAS_NUM_THREADS=str(workers))
+            proc = subprocess.run(
+                [sys.executable, "-m", "fracgi.cli", "simulate", *args,
+                 "--seed", "7", f"--orders={orders}", "--workers", str(workers),
+                 "--out", str(tmp_path / f"{name}{workers}")],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        assert tree_bytes(tmp_path / f"{name}1") == tree_bytes(tmp_path / f"{name}2")
 
 
 def test_simulate_outputs(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fracgi.moments import (
+    DEFAULT_SHARD_SIZE,
     GhostImage,
     MomentOrder,
     OrderDomainError,
@@ -164,44 +165,61 @@ def small_run():
     return mask, run_simulation(cfg, mask, 30_000)
 
 
-def test_multi_order_matches_manual_accumulation(small_run):
-    mask, samples = small_run
+@pytest.fixture(scope="module")
+def wide_run():
+    # n = 4096 units: 64-frame batches, where letter A gets 2048
+    units = (np.random.default_rng(5).random(64 * 64) < 0.3).astype(float)
+    mask = ObjectMask(width=64, height=64, units=units)
+    samples = run_simulation(SpeckleConfig(i0=1.0, seed=102, n=mask.n), mask, 2_000)
+    assert samples.batch_size == 64
+    return mask, samples
+
+
+def test_multi_order_matches_manual_accumulation(small_run, wide_run):
     order = MomentOrder(mu=0.618, nu=0.5)
-    (image,) = multi_order_pass(samples, [order], shard_size=1024)
-    # independent plain-numpy reference over all frames at once
-    refs = np.concatenate([r for _, r, _ in samples.iter_batches()])
-    bucket_pow = samples.buckets() ** order.mu
-    ref_pow = refs**order.nu
-    joint_mean = (bucket_pow[:, None] * ref_pow).mean(axis=0)
-    g = joint_mean / (bucket_pow.mean() * ref_pow.mean(axis=0))
-    np.testing.assert_allclose(image.joint_mean, joint_mean, rtol=1e-12)
-    np.testing.assert_allclose(image.g, g, rtol=1e-12)
-    assert (image.width, image.height) == (mask.width, mask.height)
+    # the last case pairs shifted buckets, in shards of 100 frames that
+    # split the 64-frame batches
+    for (mask, samples), shard_size, shift in (
+        (small_run, 1024, 0), (wide_run, 1024, 0), (wide_run, 100, 37),
+    ):
+        (image,) = multi_order_pass(samples, [order], shard_size=shard_size,
+                                    pair_shift=shift)
+        # independent plain-numpy reference over all frames at once
+        refs = np.concatenate([r for _, r, _ in samples.iter_batches()])
+        bucket_pow = np.roll(samples.buckets(), -shift) ** order.mu
+        ref_pow = refs**order.nu
+        joint_mean = (bucket_pow[:, None] * ref_pow).mean(axis=0)
+        g = joint_mean / (bucket_pow.mean() * ref_pow.mean(axis=0))
+        np.testing.assert_allclose(image.joint_mean, joint_mean, rtol=1e-12)
+        np.testing.assert_allclose(image.g, g, rtol=1e-12)
+        assert (image.width, image.height) == (mask.width, mask.height)
 
 
-def test_order_alone_matches_order_in_six_order_run(small_run):
+def test_order_alone_matches_order_in_six_order_run(small_run, wide_run):
     # each order's sums are one mat-vec per batch over the shared reference
     # powers, so the other orders sharing its nu do not touch its bits
-    _, samples = small_run
     orders = [MomentOrder(mu, 0.5) for mu in (-2.7183, -1.414, -0.618, 0.618, 1.414, 2.7183)]
-    six = multi_order_pass(samples, orders)
-    for order, image in zip(orders, six):
-        (alone,) = multi_order_pass(samples, [order])
-        for field in ("g", "joint_mean", "joint2_mean", "ref_mean"):
-            assert np.array_equal(getattr(alone, field), getattr(image, field))
-        assert alone.bucket_mean == image.bucket_mean
-        assert alone.bucket2_mean == image.bucket2_mean
+    for _, samples in (small_run, wide_run):
+        six = multi_order_pass(samples, orders)
+        for order, image in zip(orders, six):
+            (alone,) = multi_order_pass(samples, [order])
+            for field in ("g", "joint_mean", "joint2_mean", "ref_mean"):
+                assert np.array_equal(getattr(alone, field), getattr(image, field))
+            assert alone.bucket_mean == image.bucket_mean
+            assert alone.bucket2_mean == image.bucket2_mean
 
 
-def test_worker_count_bitwise_identical(small_run):
-    _, samples = small_run
+def test_worker_count_bitwise_identical(small_run, wide_run):
     orders = [MomentOrder(mu, 0.5) for mu in (-1.414, 0.618)]
-    one = multi_order_pass(samples, orders, workers=1)
-    four = multi_order_pass(samples, orders, workers=4)
-    for a, b in zip(one, four):
-        assert np.array_equal(a.g, b.g)
-        assert np.array_equal(a.joint_mean, b.joint_mean)
-        assert a.bucket_mean == b.bucket_mean
+    # 30000 letter-A frames make 4 default shards; the 2000 wide frames
+    # need smaller ones
+    for (_, samples), shard_size in ((small_run, DEFAULT_SHARD_SIZE), (wide_run, 500)):
+        one = multi_order_pass(samples, orders, workers=1, shard_size=shard_size)
+        four = multi_order_pass(samples, orders, workers=4, shard_size=shard_size)
+        for a, b in zip(one, four):
+            assert np.array_equal(a.g, b.g)
+            assert np.array_equal(a.joint_mean, b.joint_mean)
+            assert a.bucket_mean == b.bucket_mean
 
 
 def test_empty_orders_rejected(small_run):

@@ -161,6 +161,17 @@ def test_single_frame_run():
     assert refs.shape == (1, mask.n) and buckets.shape == (1,)
 
 
+@pytest.mark.parametrize("n,frames", [
+    (1, 2048), (49, 2048), (128, 2048), (129, 1024), (4096, 64), (2**18, 1), (2**19, 1),
+])
+def test_batch_size_rule(n, frames):
+    # the largest power of two <= 2^18 / n frames, capped at 2048, at least 1
+    mask = ObjectMask(width=n, height=1, units=np.ones(n))
+    samples = run_simulation(config(n=n), mask, 2 * frames + 1)
+    assert samples.batch_size == frames
+    assert [refs.shape[0] for _, refs, _ in samples.iter_batches()] == [frames, frames, 1]
+
+
 def test_invalid_counts():
     mask = letter_a_mask()
     with pytest.raises(ValueError):

@@ -220,6 +220,7 @@ def test_erlang_density_vanishes_at_infinity(m):
     np.testing.assert_array_equal(model.pdf(np.array(xs)), pdf)
     np.testing.assert_array_equal(model.cdf(np.array(xs)), cdf)
     assert joint_pdf_binary(m, 1.0, np.inf, 0.5, 0) == 0.0
+    assert joint_pdf_binary(m + 1, 1.0, np.inf, np.inf, 1) == 0.0  # inf - inf
 
 
 def test_erlang_mode():
@@ -240,8 +241,7 @@ def test_joint_pdf_support_constraint():
     # at i_i = i_b only m = 2 leaves mass: the one other unit is exactly 0
     assert joint_pdf_binary(2, 2.0, 1.5, 1.5, 1) == pytest.approx(math.exp(-0.75) / 4, rel=1e-15)
     assert joint_pdf_binary(3, 2.0, 1.5, 1.5, 1) == 0.0
-    with np.errstate(invalid="ignore"):  # inf - inf
-        assert joint_pdf_binary(3, 1.0, np.inf, np.inf, 1) == 0.0
+    assert joint_pdf_binary(3, 1.0, np.inf, np.inf, 1) == 0.0
 
 
 def test_joint_pdf_background_factorizes():
