@@ -3,13 +3,14 @@
 Per-unit intensities are i.i.d. negative-exponential with mean I_0; the
 bucket signal is the transmittance-weighted sum over units. Frame j of an
 n-unit source is the uniforms at positions [j*n, (j+1)*n) of the single
-counter-based stream Philox(key=seed), so frame j is a pure function of
-(seed, j), any batch of frames is one bulk draw, and any parallel schedule
-reproduces the same sample set bit for bit.
+stream PCG64(seed), which jumps to any position in O(log) steps, so frame
+j is a pure function of (seed, j), any batch of frames is one bulk draw,
+and any parallel schedule reproduces the same sample set bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -30,9 +31,7 @@ __all__ = [
 TINY_INTENSITY = float(np.finfo(np.float64).tiny)
 
 # name of the frame-to-stream layout, recorded in run reports
-RNG_LAYOUT = "philox-stream"
-
-_PHILOX_BLOCK = 4  # 64-bit outputs per Philox counter value
+RNG_LAYOUT = "pcg64-stream"
 
 # a batch holds at most 2^18 doubles (2 MB, one core's L2 cache), so each
 # elementwise stage over it runs in cache rather than through main memory
@@ -53,24 +52,24 @@ class SpeckleConfig:
             raise ValueError("mean intensity i0 must be positive")
         if self.n < 1:
             raise ValueError("unit count n must be at least 1")
-        if not 0 <= int(self.seed) < 2**64:
+        integral = isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
+        if not (integral and 0 <= operator.index(self.seed) < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
+        object.__setattr__(self, "seed", operator.index(self.seed))
 
 
 def _intensity_block(config: SpeckleConfig, start: int, count: int) -> np.ndarray:
     """Reference intensities of frames [start, start + count), one row each.
 
-    Frame j takes the doubles at stream positions [j*n, (j+1)*n); a
-    Philox counter value c yields positions [4c, 4c + 4), so the draw
-    starts at counter (start*n)//4 and skips the remainder. Exponential
+    Frame j takes the doubles at stream positions [j*n, (j+1)*n), one
+    64-bit output each, so the draw advances the generator by start*n
+    (a 128-bit jump) and reads count*n doubles in one call. Exponential
     sampling by inverse CDF, -i0*log(1-u) with u in [0, 1), so the
     argument stays in (0, 1]; exact zeros and underflows clamp to the
     smallest positive normal intensity. The transform runs in place: a
     batch holds one array of its size.
     """
-    block, skip = divmod(start * config.n, _PHILOX_BLOCK)
-    bitgen = np.random.Philox(key=config.seed, counter=block)
-    bitgen.random_raw(skip, output=False)
+    bitgen = np.random.PCG64(config.seed).advance(start * config.n)
     out = np.random.Generator(bitgen).random((count, config.n))
     np.negative(out, out=out)
     np.log1p(out, out=out)

@@ -182,6 +182,19 @@ def test_invalid_counts():
         SpeckleConfig(i0=0.0, seed=1, n=4)
 
 
+@pytest.mark.parametrize("seed", [2.5, 3.0, np.float64(3.0), True, np.True_, "7", -1, 2**64])
+def test_seed_must_be_a_64bit_unsigned_integer(seed):
+    with pytest.raises(ValueError, match="seed"):
+        SpeckleConfig(i0=1.0, seed=seed, n=4)
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint64(2**64 - 1), 2**64 - 1])
+def test_seed_stored_as_python_int(seed):
+    cfg = SpeckleConfig(i0=1.0, seed=seed, n=4)
+    assert type(cfg.seed) is int and cfg.seed == int(seed)
+    assert np.array_equal(one_frame(cfg, 3), one_frame(config(n=4, seed=int(seed)), 3))
+
+
 def test_reiteration_is_identical():
     mask = letter_a_mask()
     samples = run_simulation(config(n=mask.n, seed=8), mask, 64)
@@ -193,13 +206,17 @@ def test_reiteration_is_identical():
 # -- stream layout -----------------------------------------------------------
 
 
-def stream_frames(cfg, start, count, anchor=0):
-    """Frames [start, start + count) cut from one Generator(Philox(key=seed))
-    stream read from Philox counter ``anchor`` on (stream position 4*anchor)."""
-    skip = start * cfg.n - 4 * anchor
+def stream_frames(cfg, start, count, jumps=()):
+    """Frames [start, start + count) cut from one contiguous draw of
+    Generator(PCG64(seed)), read after advancing the generator by each of
+    ``jumps`` in turn (stream position sum(jumps))."""
+    bitgen = np.random.PCG64(cfg.seed)
+    for jump in jumps:
+        bitgen.advance(jump)
+    skip = start * cfg.n - sum(jumps)
     assert skip >= 0
-    gen = np.random.Generator(np.random.Philox(key=cfg.seed, counter=anchor))
-    u = gen.random(skip + count * cfg.n)[skip:].reshape(count, cfg.n)
+    u = np.random.Generator(bitgen).random(skip + count * cfg.n)
+    u = u[skip:].reshape(count, cfg.n)
     return np.maximum(-cfg.i0 * np.log1p(-u), TINY_INTENSITY)
 
 
@@ -223,13 +240,14 @@ def test_frames_are_one_philox_stream(n, start, count):
 
 @pytest.mark.parametrize("n", [1, 7, 49])
 def test_stream_layout_past_64bit_counter(n):
-    # start*n is about 2**66, and the rows cross the carry of the low
-    # 64-bit counter word into the next one
-    anchor = 2**64 - 2
-    start, count = 4 * anchor // n + 1, 9
+    # start*n is about 2**66, past any 64-bit position: the reference gets
+    # there in two jumps, 2**64 and then the rest, so the sampler's single
+    # 128-bit jump is checked against a different path to the same state
+    jumps = (2**64, 3 * 2**64 - 2)
+    start, count = sum(jumps) // n + 1, 9
     assert start * n > 2**64
     cfg = config(n=n, seed=77)
-    expected = stream_frames(cfg, start, count, anchor=anchor)
+    expected = stream_frames(cfg, start, count, jumps=jumps)
     assert np.array_equal(batch_frames(cfg, start, count, batch_size=4), expected)
     assert np.array_equal(one_frame(cfg, start + count - 1), expected[-1])
 
