@@ -34,7 +34,6 @@ from .theory import (
     moment_background,
     moment_general,
     moment_signal,
-    peak_snr,
     peak_snr_per_sqrt_n,
     predict,
     validity_domain,

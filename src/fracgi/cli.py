@@ -13,6 +13,7 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 
 from . import metrics, moments, reports, speckle, theory
 from .objects import MaskError, ObjectMask, block_mask, classify_units, letter_a_mask, load_object
@@ -95,28 +96,6 @@ def _parse_range(text: str, flag: str) -> list[float]:
     return [v for v in values if v <= hi + 1e-12]
 
 
-def _check_order_domain(mask_or_m, orders) -> None:
-    for order in orders:
-        flags = theory.validity_domain(mask_or_m, order.mu, order.nu)
-        if not flags.moment_finite:
-            raise theory.DomainError(
-                f"orders mu={order.mu:g}, nu={order.nu:g}: " + "; ".join(flags.reasons)
-            )
-
-
-def _infinite_variance(m: int, order: moments.MomentOrder, label: str) -> str:
-    """Violated variance conditions of a class row, "" if none.
-
-    The signal estimator needs m+2mu+2nu > 0; background references are
-    independent of the bucket, so that row needs only m+2mu > 0. Both
-    need 1+2nu > 0. Null pairing makes every reference independent of
-    its bucket, so both of its rows take the background conditions.
-    """
-    mu, nu = order.mu, order.nu
-    bucket = ("m+2*mu+2*nu", m + 2 * mu + 2 * nu) if label == "signal" else ("m+2*mu", m + 2 * mu)
-    return "; ".join(f"{k} = {v:g} <= 0" for k, v in (bucket, ("1+2*nu", 1 + 2 * nu)) if not v > 0)
-
-
 def _load_mask(args) -> ObjectMask:
     if args.object is None:
         return builtin_mask()
@@ -131,7 +110,7 @@ def cmd_simulate(args) -> int:
     mask = _load_mask(args)
     orders = _parse_orders(args.orders, args.unsafe_negative_nu)
     classes = classify_units(mask)
-    _check_order_domain(mask, orders)
+    flags = [theory.require_moment(mask, o.mu, o.nu) for o in orders]
     if args.n_samples < 2:
         raise UsageError("--n-samples must be at least 2")
 
@@ -142,7 +121,7 @@ def cmd_simulate(args) -> int:
     images = moments.multi_order_pass(samples, orders, workers=args.workers)
 
     results = []
-    for idx, (order, image) in enumerate(zip(orders, images), start=1):
+    for idx, (order, image, order_flags) in enumerate(zip(orders, images, flags), start=1):
         name = f"ghost_{idx:02d}_mu{order.mu:g}_nu{order.nu:g}.pgm"
         reports.write_ghost_image(image, out_dir / name)
         v_emp = rp_emp = mean_sig = mean_bg = None
@@ -150,7 +129,7 @@ def cmd_simulate(args) -> int:
             im = metrics.image_metrics(image, classes)
             v_emp, mean_sig, mean_bg = im.v_empirical, im.mean_signal, im.mean_background
             # without a finite estimator variance the empirical SNR estimates nothing
-            if theory.validity_domain(mask, order.mu, order.nu).variance_finite:
+            if order_flags.variance_finite:
                 rp_emp = im.rp_empirical
         v_ana = rp_ana = None
         if classes.is_binary and classes.m is not None and classes.m >= 2:
@@ -207,18 +186,16 @@ def cmd_sweep(args) -> int:
     if not mu_values or not nu_values:
         raise UsageError("sweep grid is empty")
 
+    mu_grid, nu_grid = (g.ravel() for g in np.meshgrid(mu_values, nu_values, indexing="ij"))
     rows = []
     for m in m_values:
-        for mu in mu_values:
-            for nu in nu_values:
-                flags = theory.validity_domain(m, mu, nu)
-                v = theory.visibility(m, mu, nu) if flags.moment_finite else None
-                rp = (
-                    theory.peak_snr_per_sqrt_n(m, mu, nu)
-                    if flags.variance_finite
-                    else None
-                )
-                rows.append((m, mu, nu, v, rp, flags.moment_finite, flags.variance_finite))
+        moment_ok = theory.exists("moment", m, mu_grid, nu_grid)
+        variance_ok = moment_ok & theory.exists("signal variance", m, mu_grid, nu_grid)
+        v, rp = np.full(mu_grid.size, None), np.full(mu_grid.size, None)
+        v[moment_ok] = theory.visibility(m, mu_grid[moment_ok], nu_grid[moment_ok])
+        rp[variance_ok] = theory.peak_snr_per_sqrt_n(m, mu_grid[variance_ok], nu_grid[variance_ok])
+        rows += zip([m] * mu_grid.size, mu_grid.tolist(), nu_grid.tolist(), v, rp,
+                    moment_ok, variance_ok)
     reports.write_sweep_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
@@ -232,7 +209,8 @@ def cmd_validate(args) -> int:
     mask = builtin_mask(args.m)
     classes = classify_units(mask)
     orders = _parse_orders(args.orders, allow_negative_nu=False)
-    _check_order_domain(args.m, orders)
+    for order in orders:
+        theory.require_moment(args.m, order.mu, order.nu)
     config = speckle.SpeckleConfig(i0=args.i0, seed=args.seed, n=mask.n)
     samples = speckle.run_simulation(config, mask, args.n_samples)
 
@@ -247,7 +225,9 @@ def cmd_validate(args) -> int:
     for order, image in zip(orders, images):
         for col, label in enumerate(metrics.CLASS_COLUMNS):
             row = f"mu={order.mu:g} nu={order.nu:g} {label}"
-            violated = _infinite_variance(args.m, order, "background" if args.null_pairing else label)
+            # null pairing makes every reference independent of its bucket
+            rule = "background" if args.null_pairing else label
+            violated = "; ".join(theory.violations(f"{rule} variance", args.m, order.mu, order.nu))
             if violated:
                 skipped += 1
                 print(f"SKIP {row}: estimator variance infinite ({violated})")
@@ -342,7 +322,7 @@ def main(argv=None) -> int:
     except MaskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (theory.DomainError, moments.OrderDomainError) as exc:
+    except theory.DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except Exception as exc:  # noqa: BLE001 - stable exit-code contract

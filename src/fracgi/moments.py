@@ -25,20 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .objects import DomainError
 from .speckle import SampleSet, TINY_INTENSITY
 
 __all__ = [
-    "OrderDomainError",
     "MomentOrder",
     "GhostImage",
     "multi_order_pass",
 ]
 
 DEFAULT_SHARD_SIZE = 8192
-
-
-class OrderDomainError(ValueError):
-    """Invalid or non-finite fractional order combination."""
 
 
 @dataclass(frozen=True)
@@ -58,17 +54,17 @@ class MomentOrder:
 
     def __post_init__(self):
         if not (np.isfinite(self.mu) and np.isfinite(self.nu)):
-            raise OrderDomainError("orders must be finite")
+            raise DomainError("orders must be finite")
         if self.mu == 0:
-            raise OrderDomainError(
+            raise DomainError(
                 "mu = 0 is rejected: the image degenerates to a constant"
             )
         if self.nu <= -0.5:
-            raise OrderDomainError(
+            raise DomainError(
                 f"nu = {self.nu} <= -1/2: estimator variance is infinite"
             )
         if self.nu <= 0 and not self.allow_small_negative_nu:
-            raise OrderDomainError(
+            raise DomainError(
                 f"nu = {self.nu} <= 0 requires allow_small_negative_nu"
             )
         if self.nu <= 0:
@@ -147,7 +143,7 @@ class _Sums:
         """Accumulate a block of frames (rows of ``refs``), all orders at once;
         ``groups`` maps each frame's reference powers to group values."""
         b = _power(np.broadcast_to(buckets, (len(self.orders), buckets.size)), self.mus)
-        # an overflow here is detected below and raised as OrderDomainError
+        # an overflow here is detected below and raised as DomainError
         with np.errstate(over="ignore", invalid="ignore"):
             b2 = b * b
             for j, nu in enumerate(self.nus):
@@ -165,7 +161,7 @@ class _Sums:
         finite = np.isfinite(self.joint2).all(axis=1) & np.isfinite(self.bucket2)
         if not finite.all():
             order = self.orders[int(np.argmin(finite))]
-            raise OrderDomainError(
+            raise DomainError(
                 f"non-finite power at orders (mu={order.mu}, nu={order.nu}): "
                 "order/scale mismatch (power overflow)"
             )

@@ -29,6 +29,10 @@ class MaskError(ValueError):
     """Unreadable mask source, empty image, or out-of-range values."""
 
 
+class DomainError(ValueError):
+    """Orders or inputs outside a moment's domain; every layer's refusal type."""
+
+
 @dataclass(frozen=True)
 class ObjectMask:
     """Per-unit transmittance map, immutable after construction."""

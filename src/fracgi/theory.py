@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .objects import ObjectMask
+from .objects import DomainError, ObjectMask
 
 __all__ = [
     "DomainError",
@@ -39,9 +39,12 @@ __all__ = [
     "moment_background",
     "moment_signal",
     "visibility",
-    "peak_snr",
     "peak_snr_per_sqrt_n",
+    "EXISTENCE",
+    "exists",
+    "violations",
     "validity_domain",
+    "require_moment",
     "predict",
     "GammaMixtureModel",
     "joint_pdf_binary",
@@ -57,16 +60,36 @@ _RESTART = 32         # Poisson-term recurrence steps between exact restarts
 _BLOCK = 1 << 15      # points per cache-sized block of that recurrence
 
 
-class DomainError(ValueError):
-    """A moment or SNR does not exist for the requested orders."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
 class QuadratureError(RuntimeError):
     """Numerical integration failed to converge or returned a non-finite value."""
+
+
+# Existence rule: (rule, quantity, value) rows whose quantities must all be
+# > 0. The binary moments need their Gamma arguments positive at both pixel
+# classes; an estimator's variance needs the moment at the doubled orders
+# (2mu, 2nu). A background (t=0) reference is independent of its bucket, so
+# its variance needs m+2mu where a signal pixel's needs m+2mu+2nu.
+EXISTENCE = (
+    ("moment", "m+mu+nu", lambda m, mu, nu: m + mu + nu),
+    ("moment", "m+mu", lambda m, mu, nu: m + mu),
+    ("moment", "1+nu", lambda m, mu, nu: 1 + nu),
+    ("signal variance", "m+2*mu+2*nu", lambda m, mu, nu: m + 2 * mu + 2 * nu),
+    ("signal variance", "1+2*nu", lambda m, mu, nu: 1 + 2 * nu),
+    ("background variance", "m+2*mu", lambda m, mu, nu: m + 2 * mu),
+    ("background variance", "1+2*nu", lambda m, mu, nu: 1 + 2 * nu),
+)
+
+
+def exists(rule: str, m, mu, nu):
+    """Whether every quantity of ``rule`` is > 0; elementwise over arrays."""
+    return np.logical_and.reduce([f(m, mu, nu) > 0 for r, _, f in EXISTENCE if r == rule])
+
+
+def violations(rule: str, m, mu, nu) -> list[str]:
+    """The quantities of ``rule`` that are not > 0, as reasons
+    "q = value <= 0"; over arrays, with the least value of q."""
+    values = [(q, f(m, mu, nu)) for r, q, f in EXISTENCE if r == rule]
+    return [f"{q} = {np.min(v):g} <= 0" for q, v in values if not np.all(v > 0)]
 
 
 def _check(condition, reason: str) -> None:
@@ -74,12 +97,17 @@ def _check(condition, reason: str) -> None:
         raise DomainError(reason)
 
 
+def _require(rule: str, m, mu, nu) -> None:
+    reasons = violations(rule, m, mu, nu)
+    _check(not reasons, "; ".join(reasons))
+
+
 def moment_background(m: int, mu, nu, i0: float = 1.0):
     """Background fractional moment <I_B^mu I_i^nu> at a t=0 pixel."""
     mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
     _check(m >= 1, "m >= 1 required")
-    _check(m + mu > 0, "m+mu <= 0")
-    _check(1 + nu > 0, "1+nu <= 0")
+    _require("moment", m, mu, nu)
+    _check(0 < i0 < math.inf, "i0 must be positive and finite")
     out = np.exp(
         gammaln(m + mu) + gammaln(1 + nu) - gammaln(m) + (mu + nu) * math.log(i0)
     )
@@ -90,21 +118,13 @@ def moment_signal(m: int, mu, nu, i0: float = 1.0):
     """Signal fractional moment <I_B^mu I_i^nu> at a t=1 pixel."""
     mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
     _check(m >= 1, "m >= 1 required")
-    _check(m + mu + nu > 0, "m+mu+nu <= 0")
-    _check(m + nu > 0, "m+nu <= 0")
-    _check(1 + nu > 0, "1+nu <= 0")
+    _require("moment", m, mu, nu)
+    _check(0 < i0 < math.inf, "i0 must be positive and finite")
     out = np.exp(
         gammaln(m + mu + nu) + gammaln(1 + nu) - gammaln(m + nu)
         + (mu + nu) * math.log(i0)
     )
     return float(out) if out.ndim == 0 else out
-
-
-def _log_moment_ratio(m: int, mu, nu):
-    """log(signal/background moment); positive iff mu > 0."""
-    return (
-        gammaln(m + mu + nu) + gammaln(m) - gammaln(m + mu) - gammaln(m + nu)
-    )
 
 
 def visibility(m: int, mu, nu):
@@ -115,10 +135,9 @@ def visibility(m: int, mu, nu):
     """
     mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
     _check(m >= 2, "m >= 2 required")
-    _check(m + mu + nu > 0, "m+mu+nu <= 0")
-    _check(m + mu > 0, "m+mu <= 0")
-    _check(1 + nu > 0, "1+nu <= 0")
-    out = np.abs(np.tanh(0.5 * _log_moment_ratio(m, mu, nu)))
+    _require("moment", m, mu, nu)
+    d = gammaln(m + mu + nu) + gammaln(m) - gammaln(m + mu) - gammaln(m + nu)
+    out = np.abs(np.tanh(0.5 * d))
     return float(out) if out.ndim == 0 else out
 
 
@@ -126,30 +145,20 @@ def peak_snr_per_sqrt_n(m: int, mu, nu):
     """Relative peak SNR R_p / sqrt(N) (dimensionless surface value)."""
     mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
     _check(m >= 2, "m >= 2 required")
-    _check(m + mu + nu > 0, "m+mu+nu <= 0")
-    _check(m + mu > 0, "m+mu <= 0")
-    _check(1 + nu > 0, "1+nu <= 0")
-    _check(m + 2 * mu + 2 * nu > 0, "m+2*mu+2*nu <= 0")
-    _check(1 + 2 * nu > 0, "1+2*nu <= 0")
+    _require("moment", m, mu, nu)
+    _require("signal variance", m, mu, nu)
     ln_sig = gammaln(m + mu + nu) + gammaln(1 + nu) - gammaln(m + nu)
     ln_bg = gammaln(m + mu) + gammaln(1 + nu) - gammaln(m)
     hi = np.maximum(ln_sig, ln_bg)
     lo = np.minimum(ln_sig, ln_bg)
-    ln_contrast = hi + np.log1p(-np.exp(lo - hi))
+    with np.errstate(divide="ignore"):  # nu = 0: equal moments, contrast 0
+        ln_contrast = hi + np.log1p(-np.exp(lo - hi))
     # noise: order-doubled signal moment minus squared signal moment
     ln_second = gammaln(m + 2 * mu + 2 * nu) + gammaln(1 + 2 * nu) - gammaln(m + 2 * nu)
     ln_square = 2.0 * ln_sig
     _check(ln_second > ln_square, "degenerate variance (second moment <= square)")
     ln_var = ln_second + np.log1p(-np.exp(ln_square - ln_second))
     out = np.exp(ln_contrast - 0.5 * ln_var)
-    return float(out) if out.ndim == 0 else out
-
-
-def peak_snr(m: int, mu, nu, n_samples: int):
-    """Peak SNR R_p of the reconstructed image after N samplings."""
-    if n_samples < 1:
-        raise DomainError("n_samples >= 1 required")
-    out = math.sqrt(n_samples) * np.asarray(peak_snr_per_sqrt_n(m, mu, nu))
     return float(out) if out.ndim == 0 else out
 
 
@@ -172,27 +181,22 @@ def _effective_m(mask_or_m) -> int:
 def validity_domain(mask_or_m, mu: float, nu: float) -> ValidityFlags:
     """Existence check; for grayscale masks the effective-unit role of m is
     played by the count of nonzero units (the small-argument exponent of
-    the bucket density)."""
+    the bucket density). The variance flag is the signal class's."""
     m = _effective_m(mask_or_m)
-    reasons = []
-    if not m + mu + nu > 0:
-        reasons.append(f"m+mu+nu = {m + mu + nu:g} <= 0")
-    if not m + mu > 0:
-        reasons.append(f"m+mu = {m + mu:g} <= 0")
-    if not 1 + nu > 0:
-        reasons.append(f"1+nu = {1 + nu:g} <= 0")
-    moment_finite = not reasons
-    var_reasons = []
-    if not m + 2 * mu + 2 * nu > 0:
-        var_reasons.append(f"m+2*mu+2*nu = {m + 2 * mu + 2 * nu:g} <= 0")
-    if not 1 + 2 * nu > 0:
-        var_reasons.append(f"1+2*nu = {1 + 2 * nu:g} <= 0")
-    variance_finite = moment_finite and not var_reasons
+    reasons = violations("moment", m, mu, nu)
+    var_reasons = violations("signal variance", m, mu, nu)
     return ValidityFlags(
-        moment_finite=moment_finite,
-        variance_finite=variance_finite,
+        moment_finite=not reasons,
+        variance_finite=not reasons and not var_reasons,
         reasons=tuple(reasons + var_reasons),
     )
+
+
+def require_moment(mask_or_m, mu: float, nu: float) -> ValidityFlags:
+    """validity_domain, raising DomainError when the moment does not exist."""
+    flags = validity_domain(mask_or_m, mu, nu)
+    _check(flags.moment_finite, f"orders mu={mu:g}, nu={nu:g}: " + "; ".join(flags.reasons))
+    return flags
 
 
 @dataclass(frozen=True)
@@ -219,9 +223,8 @@ def predict(
     """Evaluate all closed forms; raises DomainError when the moments do
     not exist, returns None SNR fields (flag false) when only the
     estimator variance diverges."""
-    flags = validity_domain(m, mu, nu)
-    if not flags.moment_finite:
-        raise DomainError("; ".join(flags.reasons))
+    _check(n_samples >= 1, "n_samples >= 1 required")
+    flags = require_moment(m, mu, nu)
     rp = rp_rel = None
     if flags.variance_finite:
         rp_rel = peak_snr_per_sqrt_n(m, mu, nu)
@@ -322,14 +325,10 @@ def joint_pdf_binary(m: int, i0: float, i_b, i_i, t_i: int):
     """
     i_b = np.asarray(i_b, dtype=float)
     i_i = np.asarray(i_i, dtype=float)
-    if np.any(i_b < 0) or np.any(i_i < 0):
-        raise DomainError("intensities must be nonnegative")
-    if t_i not in (0, 1):
-        raise DomainError("t_i must be 0 or 1 for the binary joint density")
-    if m - t_i < 1:
-        raise DomainError(f"t={t_i} joint density requires m >= {1 + t_i}")
-    if not i0 > 0:
-        raise DomainError("i0 must be positive")
+    _check(not (np.any(i_b < 0) or np.any(i_i < 0)), "intensities must be nonnegative")
+    _check(t_i in (0, 1), "t_i must be 0 or 1 for the binary joint density")
+    _check(m - t_i >= 1, f"t={t_i} joint density requires m >= {1 + t_i}")
+    _check(0 < i0 < math.inf, "i0 must be positive and finite")
     # the pixel's own density is 0 at i_i = inf, whatever inf - inf gave
     with np.errstate(invalid="ignore"):
         remainder = i_b - i_i if t_i else i_b
@@ -351,11 +350,9 @@ def bucket_pdf_general(mask: ObjectMask, i0: float):
     the recursion stops once, past the mode, delta falls below _WEIGHT_TRIM
     of its peak. Masks predicted to need more than _TERM_CAP terms are refused.
     """
-    if i0 <= 0:
-        raise DomainError("i0 must be positive")
+    _check(0 < i0 < math.inf, "i0 must be positive and finite")
     nonzero = mask.units[mask.units > 0]
-    if nonzero.size == 0:
-        raise DomainError("all-zero mask has no bucket distribution")
+    _check(nonzero.size > 0, "all-zero mask has no bucket distribution")
     taus, counts = np.unique(nonzero, return_counts=True)
     if taus.size == 1:
         return _erlang(int(counts[0]), i0 * float(taus[0]))
@@ -366,11 +363,9 @@ def bucket_pdf_general(mask: ObjectMask, i0: float):
     with np.errstate(over="ignore", divide="ignore"):  # inf for vanishing levels
         # a log-concave tail falls at least like exp(-c/sd): 40 sd is past 1e-17
         terms = float(k @ (q / p)) + _TAIL_SDS * (math.sqrt(float(k @ (q / p**2))) + 1.0)
-    if not terms <= _TERM_CAP:
-        raise DomainError(
-            f"the analytic bucket law of this mask needs about {terms:.0f} Gamma-mixture "
-            f"terms (more than {_TERM_CAP}); use the Monte-Carlo path"
-        )
+    _check(terms <= _TERM_CAP,
+           f"the analytic bucket law of this mask needs about {terms:.0f} Gamma-mixture "
+           f"terms (more than {_TERM_CAP}); use the Monte-Carlo path")
     size = math.ceil(terms)
     powers = np.arange(size, 0, -1)  # g_rev[size - i] = g_i
     g_rev = sum(k_j * q_j**powers for q_j, k_j in zip(q[1:], k[1:]))
@@ -415,22 +410,17 @@ def moment_general(mask: ObjectMask, pixel: int, mu: float, nu: float, i0: float
     # deferred: scipy.integrate adds ~0.3 s to the package import time
     from scipy.integrate import quad
 
-    if not 0 <= pixel < mask.n:
-        raise DomainError(f"pixel {pixel} out of range for n={mask.n}")
-    if not nu > -1:
-        raise DomainError("1+nu <= 0")
-    if not i0 > 0:
-        raise DomainError("i0 must be positive")
+    _check(0 <= pixel < mask.n, f"pixel {pixel} out of range for n={mask.n}")
+    _check(nu > -1, "1+nu <= 0")
+    _check(0 < i0 < math.inf, "i0 must be positive and finite")
     t_i = float(mask.units[pixel])
     others = np.delete(mask.units, pixel)
     # phi's factors (1 + s a_j)^-k_j: distinct nonzero values, k_j their multiplicities
     taus, counts = np.unique(others[others > 0], return_counts=True)
-    if t_i == 0 and taus.size == 0:
-        raise DomainError("bucket signal is identically zero for this mask")
+    _check(t_i > 0 or taus.size > 0, "bucket signal is identically zero for this mask")
     # phi falls off like s^-(m' + (1+nu)[t_i>0]): the integral converges iff exponent > 0
     exponent = counts.sum() + mu + (1 + nu) * (t_i > 0)
-    if not 0 < exponent < math.inf:
-        raise DomainError(f"no finite moment: m' + mu + (1+nu)[t_i>0] = {exponent:g}")
+    _check(0 < exponent < math.inf, f"no finite moment: m' + mu + (1+nu)[t_i>0] = {exponent:g}")
 
     a, k = taus * i0, counts.astype(float)
     if t_i > 0:  # the pixel's own factor has k = 1+nu

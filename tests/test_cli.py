@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fracgi
-from fracgi import cli
+from fracgi import cli, theory
 from fracgi.cli import main
 from fracgi.reports import read_report
 
@@ -45,6 +46,18 @@ def test_predict_domain_violation_exit_3(capsys):
     code, _, err = run(capsys, "predict", "--m", "2", "--mu", "-2.2", "--nu", "0.1")
     assert code == 3
     assert "m+mu+nu" in err
+
+
+@pytest.mark.parametrize("flag,value,reason", [
+    ("--n", "-5", "n_samples >= 1 required"),
+    ("--i0", "0", "i0 must be positive and finite"),
+    ("--i0", "-1", "i0 must be positive and finite"),
+    ("--i0", "inf", "i0 must be positive and finite"),
+])
+def test_predict_bad_sampling_count_or_intensity_exit_3(capsys, flag, value, reason):
+    code, out, err = run(capsys, "predict", "--m", "20", "--mu", "1", "--nu", "1", flag, value)
+    assert code == 3 and out == ""
+    assert err == f"domain error: {reason}\n"
 
 
 # -- simulate ----------------------------------------------------------------
@@ -208,6 +221,51 @@ def test_sweep_flags_invalid_domain_rows(tmp_path, capsys):
     line = out.read_text().splitlines()[1]
     assert ",,," in line or ",," in line
     assert line.endswith("false,false")
+
+
+def test_sweep_matches_scalar_closed_forms(tmp_path, capsys):
+    # every cell of the array sweep against validity_domain and predict,
+    # with exact float equality; the grid holds cells where the moment, or
+    # only the estimator variance, does not exist
+    out = tmp_path / "s.csv"
+    code, _, _ = run(capsys, "sweep", "--m", "2,20", "--mu=-3:3:0.1", "--nu=-1:3:0.1",
+                     "--out", str(out))
+    assert code == 0
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == 2 * 60 * 41
+    seen = set()
+    for line in lines:
+        m, mu, nu, v, rp, moment_ok, variance_ok = line.split(",")
+        m, mu, nu = int(m), float(mu), float(nu)
+        flags = theory.validity_domain(m, mu, nu)
+        seen.add((flags.moment_finite, flags.variance_finite))
+        assert (moment_ok, variance_ok) == (
+            str(flags.moment_finite).lower(), str(flags.variance_finite).lower())
+        if not flags.moment_finite:
+            assert v == rp == ""
+            continue
+        pred = theory.predict(m, mu, nu, 1)
+        assert float(v) == pred.visibility
+        if flags.variance_finite:
+            assert float(rp) == pred.rp_per_sqrt_n
+        else:
+            assert rp == ""
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_sweep_through_nu_zero_warns_nothing(tmp_path, capsys):
+    # at nu = 0 the signal and background moments are equal: the peak SNR
+    # is 0 (V is 0 up to round-off), with no divide-by-zero warning on the way
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "sweep", "--m", "20", "--mu=-3:3:0.1", "--nu=-1:0.1:0.1",
+                           "--out", str(out))
+    assert code == 0, err
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    at_zero = [row for row in rows if float(row[2]) == 0.0]
+    assert len(at_zero) == 60
+    assert all(float(row[3]) < 1e-14 and float(row[4]) == 0.0 for row in at_zero)
 
 
 def test_sweep_malformed_range(tmp_path, capsys):

@@ -191,7 +191,7 @@ def test_empty_mask_classes_rejected(run20):
 
 @pytest.fixture(scope="module")
 def convergence_runs():
-    from fracgi.theory import peak_snr, visibility
+    from fracgi.theory import predict, visibility
 
     mask = letter_a_mask()
     classes = classify_units(mask)
@@ -202,7 +202,7 @@ def convergence_runs():
         (image,) = multi_order_pass(samples, [order])
         (stats,) = class_pass(samples, classes, [order])
         out[n] = (image, stats)
-    return classes, out, visibility(20, 1, 1), peak_snr
+    return classes, out, visibility(20, 1, 1), predict
 
 
 def test_empirical_visibility_converges(convergence_runs):
@@ -221,7 +221,7 @@ def test_empirical_visibility_converges(convergence_runs):
 
 
 def test_empirical_peak_snr_magnitude(convergence_runs):
-    classes, runs, _, peak_snr = convergence_runs
+    classes, runs, _, predict = convergence_runs
     for n, (image, _) in runs.items():
-        expected = peak_snr(20, 1, 1, n)
+        expected = predict(20, 1, 1, n).peak_snr
         assert empirical_peak_snr(image, classes) == pytest.approx(expected, rel=0.10)

@@ -10,13 +10,12 @@ from fracgi.moments import (
     DEFAULT_SHARD_SIZE,
     GhostImage,
     MomentOrder,
-    OrderDomainError,
     _Sums,
     multi_order_pass,
 )
 from fracgi.objects import ObjectMask, classify_units, letter_a_mask
 from fracgi.speckle import SpeckleConfig, run_simulation
-from fracgi.theory import moment_background, moment_signal
+from fracgi.theory import DomainError, moment_background, moment_signal
 
 
 def frame(reference, bucket):
@@ -28,19 +27,19 @@ def frame(reference, bucket):
 
 
 def test_mu_zero_rejected():
-    with pytest.raises(OrderDomainError):
+    with pytest.raises(DomainError):
         MomentOrder(mu=0.0, nu=0.5)
 
 
 def test_nu_below_minus_half_always_rejected():
-    with pytest.raises(OrderDomainError):
+    with pytest.raises(DomainError):
         MomentOrder(mu=1.0, nu=-0.6)
-    with pytest.raises(OrderDomainError):
+    with pytest.raises(DomainError):
         MomentOrder(mu=1.0, nu=-0.5, allow_small_negative_nu=True)
 
 
 def test_small_negative_nu_gated():
-    with pytest.raises(OrderDomainError):
+    with pytest.raises(DomainError):
         MomentOrder(mu=1.0, nu=-0.2)
     with pytest.warns(UserWarning):
         order = MomentOrder(mu=1.0, nu=-0.2, allow_small_negative_nu=True)
@@ -80,13 +79,13 @@ def test_accumulate_unit_powers():
 
 def test_power_overflow_raises():
     sums = _Sums([MomentOrder(mu=-3.0, nu=0.5)], 1)
-    with pytest.raises(OrderDomainError):
+    with pytest.raises(DomainError):
         sums.add_batch(*frame([1.0], 1e-300))
 
 
 def test_power_overflow_names_first_overflowing_order():
     orders = [MomentOrder(1.0, 0.5), MomentOrder(-3.0, 0.5), MomentOrder(-4.0, 0.5)]
-    with pytest.raises(OrderDomainError, match=r"mu=-3\.0, nu=0\.5"):
+    with pytest.raises(DomainError, match=r"mu=-3\.0, nu=0\.5"):
         _Sums(orders, 1).add_batch(*frame([1.0], 1e-300))
 
 

@@ -230,7 +230,7 @@ def batch_frames(cfg, start, count, batch_size):
 
 @pytest.mark.parametrize("n", [1, 3, 7, 49, 4096])
 @pytest.mark.parametrize("start,count", [(0, 5), (3, 7), (11, 1), (13, 9)])
-def test_frames_are_one_philox_stream(n, start, count):
+def test_frames_are_one_pcg64_stream(n, start, count):
     cfg = config(n=n, i0=1.5, seed=2**64 - 5)
     expected = stream_frames(cfg, start, count)
     assert np.array_equal(batch_frames(cfg, start, count, batch_size=3), expected)

@@ -23,7 +23,6 @@ from fracgi.theory import (
     moment_background,
     moment_general,
     moment_signal,
-    peak_snr,
     peak_snr_per_sqrt_n,
     predict,
     validity_domain,
@@ -82,6 +81,28 @@ def test_moment_domain_errors():
         moment_background(3, 1.0, -1.2)
 
 
+def test_closed_forms_name_the_least_violating_value_over_arrays():
+    with pytest.raises(DomainError, match=r"^m\+mu\+nu = -0\.5 <= 0; m\+mu = -1 <= 0$"):
+        visibility(20, np.array([1.0, -21.0, -20.5]), 0.5)
+    with pytest.raises(DomainError, match=r"^1\+2\*nu = -0\.2 <= 0$"):
+        peak_snr_per_sqrt_n(20, 1.0, np.array([0.5, -0.6, -0.55]))
+
+
+@pytest.mark.parametrize("i0", [0.0, -1.0, math.inf, math.nan])
+def test_moments_refuse_nonpositive_or_nonfinite_i0(i0):
+    for closed_form in (moment_background, moment_signal):
+        with pytest.raises(DomainError, match="i0 must be positive and finite"):
+            closed_form(20, 1.0, 1.0, i0)
+    with pytest.raises(DomainError, match="i0 must be positive and finite"):
+        predict(20, 1.0, 1.0, 1000, i0)
+
+
+def test_predict_refuses_fewer_than_one_sample():
+    for n in (0, -5):
+        with pytest.raises(DomainError, match="n_samples >= 1 required"):
+            predict(20, 1.0, 1.0, n)
+
+
 def test_background_factorizes_in_nu():
     # <I_B^mu I^nu>_0 = <I_B^mu> * Gamma(1+nu) I0^nu, exactly in log domain
     for m in (2, 5, 20, 30):
@@ -120,12 +141,12 @@ def test_visibility_requires_m_at_least_2():
 
 
 def test_peak_snr_recurrence_value():
-    assert peak_snr(20, 1, 1, 120000) == pytest.approx(RP_20_1_1_120K, rel=1e-12)
+    assert predict(20, 1, 1, 120000).peak_snr == pytest.approx(RP_20_1_1_120K, rel=1e-12)
 
 
 def test_peak_snr_existence_condition():
     with pytest.raises(DomainError) as err:
-        peak_snr(2, -1.5, 0.2, 1000)
+        peak_snr_per_sqrt_n(2, -1.5, 0.2)
     assert "m+2*mu+2*nu" in str(err.value)
 
 
