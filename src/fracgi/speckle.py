@@ -64,15 +64,15 @@ def _intensity_block(config: SpeckleConfig, start: int, count: int) -> np.ndarra
     Frame j takes the doubles at stream positions [j*n, (j+1)*n), one
     64-bit output each, so the draw advances the generator by start*n
     (a 128-bit jump) and reads count*n doubles in one call. Exponential
-    sampling by inverse CDF, -i0*log(1-u) with u in [0, 1), so the
-    argument stays in (0, 1]; exact zeros and underflows clamp to the
-    smallest positive normal intensity. The transform runs in place: a
-    batch holds one array of its size.
+    sampling by inverse CDF, -i0*log(1-u) with u in [0, 1) on the 2^-53
+    grid, so 1-u is exact and stays in (0, 1]; exact zeros and underflows
+    clamp to the smallest positive normal intensity. The transform runs
+    in place: a batch holds one array of its size.
     """
     bitgen = np.random.PCG64(config.seed).advance(start * config.n)
     out = np.random.Generator(bitgen).random((count, config.n))
-    np.negative(out, out=out)
-    np.log1p(out, out=out)
+    np.subtract(1.0, out, out=out)
+    np.log(out, out=out)
     out *= -config.i0
     return np.maximum(out, TINY_INTENSITY, out=out)
 

@@ -131,12 +131,13 @@ def visibility(m: int, mu, nu):
     """Image visibility |signal-background| / (signal+background).
 
     Stable form: with d = log of the signal/background moment ratio,
-    V = |tanh(d/2)|, so the Gamma products never materialize.
+    V = |tanh(d/2)|, so the Gamma products never materialize. d is grouped
+    as two differences that each cancel exactly at nu = 0, where V = 0.
     """
     mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
     _check(m >= 2, "m >= 2 required")
     _require("moment", m, mu, nu)
-    d = gammaln(m + mu + nu) + gammaln(m) - gammaln(m + mu) - gammaln(m + nu)
+    d = (gammaln(m + mu + nu) - gammaln(m + mu)) - (gammaln(m + nu) - gammaln(m))
     out = np.abs(np.tanh(0.5 * d))
     return float(out) if out.ndim == 0 else out
 

@@ -254,8 +254,8 @@ def test_sweep_matches_scalar_closed_forms(tmp_path, capsys):
 
 
 def test_sweep_through_nu_zero_warns_nothing(tmp_path, capsys):
-    # at nu = 0 the signal and background moments are equal: the peak SNR
-    # is 0 (V is 0 up to round-off), with no divide-by-zero warning on the way
+    # at nu = 0 the signal and background moments are equal: V and the peak
+    # SNR are exactly 0, with no divide-by-zero warning on the way
     out = tmp_path / "s.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -265,7 +265,7 @@ def test_sweep_through_nu_zero_warns_nothing(tmp_path, capsys):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     at_zero = [row for row in rows if float(row[2]) == 0.0]
     assert len(at_zero) == 60
-    assert all(float(row[3]) < 1e-14 and float(row[4]) == 0.0 for row in at_zero)
+    assert all(float(row[3]) == 0.0 and float(row[4]) == 0.0 for row in at_zero)
 
 
 def test_sweep_malformed_range(tmp_path, capsys):

@@ -11,10 +11,11 @@ from fracgi.moments import (
     GhostImage,
     MomentOrder,
     _Sums,
+    _power,
     multi_order_pass,
 )
 from fracgi.objects import ObjectMask, classify_units, letter_a_mask
-from fracgi.speckle import SpeckleConfig, run_simulation
+from fracgi.speckle import TINY_INTENSITY, SpeckleConfig, run_simulation
 from fracgi.theory import DomainError, moment_background, moment_signal
 
 
@@ -175,23 +176,43 @@ def wide_run():
 
 
 def test_multi_order_matches_manual_accumulation(small_run, wide_run):
-    order = MomentOrder(mu=0.618, nu=0.5)
+    # nu = 0.5 takes the sqrt path of the reference powers, nu = 0.7 the
+    # log-space one
+    orders = [MomentOrder(mu=0.618, nu=0.5), MomentOrder(mu=-1.0, nu=0.7)]
     # the last case pairs shifted buckets, in shards of 100 frames that
     # split the 64-frame batches
     for (mask, samples), shard_size, shift in (
         (small_run, 1024, 0), (wide_run, 1024, 0), (wide_run, 100, 37),
     ):
-        (image,) = multi_order_pass(samples, [order], shard_size=shard_size,
-                                    pair_shift=shift)
+        images = multi_order_pass(samples, orders, shard_size=shard_size, pair_shift=shift)
         # independent plain-numpy reference over all frames at once
         refs = np.concatenate([r for _, r, _ in samples.iter_batches()])
-        bucket_pow = np.roll(samples.buckets(), -shift) ** order.mu
-        ref_pow = refs**order.nu
-        joint_mean = (bucket_pow[:, None] * ref_pow).mean(axis=0)
-        g = joint_mean / (bucket_pow.mean() * ref_pow.mean(axis=0))
-        np.testing.assert_allclose(image.joint_mean, joint_mean, rtol=1e-12)
-        np.testing.assert_allclose(image.g, g, rtol=1e-12)
-        assert (image.width, image.height) == (mask.width, mask.height)
+        buckets = np.roll(samples.buckets(), -shift)
+        for order, image in zip(orders, images):
+            bucket_pow = buckets**order.mu
+            ref_pow = refs**order.nu
+            joint_mean = (bucket_pow[:, None] * ref_pow).mean(axis=0)
+            joint2_mean = ((bucket_pow**2)[:, None] * ref_pow**2).mean(axis=0)
+            g = joint_mean / (bucket_pow.mean() * ref_pow.mean(axis=0))
+            np.testing.assert_allclose(image.joint_mean, joint_mean, rtol=1e-12)
+            np.testing.assert_allclose(image.joint2_mean, joint2_mean, rtol=1e-12)
+            np.testing.assert_allclose(image.ref_mean, ref_pow.mean(axis=0), rtol=1e-12)
+            assert image.bucket_mean == pytest.approx(bucket_pow.mean(), rel=1e-12)
+            np.testing.assert_allclose(image.g, g, rtol=1e-12)
+            assert (image.width, image.height) == (mask.width, mask.height)
+
+
+@pytest.mark.filterwarnings("error")
+def test_power_sqrt_and_log_space_paths():
+    x = np.concatenate([[TINY_INTENSITY, 1e-300, 1e-10, 1.0, 2.0, 50.0],
+                        np.random.default_rng(0).exponential(1.0, 10_000)])
+    assert np.array_equal(_power(x, 0.5), np.sqrt(x))
+    for nu in (0.7, -1.0, 1.414, -0.3, 2.7183):
+        # exp(nu * log x) carries the rounding of nu * log x as relative
+        # error: a few ulp for moderate x, more near TINY_INTENSITY
+        expected = x**nu
+        bound = (np.abs(nu * np.log(x)) + 4) * np.finfo(float).eps * expected
+        assert np.all(np.abs(_power(x, nu) - expected) <= bound)
 
 
 def test_order_alone_matches_order_in_six_order_run(small_run, wide_run):

@@ -217,7 +217,31 @@ def stream_frames(cfg, start, count, jumps=()):
     assert skip >= 0
     u = np.random.Generator(bitgen).random(skip + count * cfg.n)
     u = u[skip:].reshape(count, cfg.n)
-    return np.maximum(-cfg.i0 * np.log1p(-u), TINY_INTENSITY)
+    return np.maximum(-cfg.i0 * np.log(1.0 - u), TINY_INTENSITY)
+
+
+def test_transform_within_one_ulp_of_log1p(monkeypatch):
+    # log1p(-u) is an independent oracle for the sampler's -i0*log(1-u):
+    # 10^6 draws, with the edges u = 0 and u = 1 - 2^-53 put into the stream
+    edges = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    real_generator = np.random.Generator
+
+    class EdgedGenerator:
+        def __init__(self, bitgen):
+            self.generator = real_generator(bitgen)
+
+        def random(self, shape):
+            u = self.generator.random(shape)
+            u.flat[: edges.size] = edges
+            return u
+
+    cfg = config(n=1000, i0=1.5, seed=9)
+    u = EdgedGenerator(np.random.PCG64(cfg.seed)).random((1000, cfg.n))
+    monkeypatch.setattr(np.random, "Generator", EdgedGenerator)
+    sampled = _intensity_block(cfg, 0, 1000)
+    expected = np.maximum(-cfg.i0 * np.log1p(-u), TINY_INTENSITY)
+    assert sampled.flat[0] == TINY_INTENSITY
+    np.testing.assert_array_max_ulp(sampled, expected, maxulp=1)
 
 
 def batch_frames(cfg, start, count, batch_size):
