@@ -71,9 +71,11 @@ def _parse_orders(text: str, allow_negative_nu: bool) -> list[moments.MomentOrde
             raise UsageError(f"--orders entry {chunk!r} is not numeric")
         if mu == 0:
             raise UsageError("--orders: mu = 0 is not allowed (constant image)")
-        pairs.append(
-            moments.MomentOrder(mu=mu, nu=nu, allow_small_negative_nu=allow_negative_nu)
-        )
+        try:
+            pairs.append(moments.MomentOrder(mu, nu, allow_small_negative_nu=allow_negative_nu))
+        except theory.DomainError as exc:  # the opt-in keyword is a flag here
+            reason = str(exc).replace("allow_small_negative_nu", "simulate's --unsafe-negative-nu")
+            raise theory.DomainError(reason) from exc
     if not pairs:
         raise UsageError("--orders is empty")
     return pairs

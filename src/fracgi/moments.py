@@ -27,6 +27,7 @@ import numpy as np
 
 from .objects import DomainError
 from .speckle import SampleSet, TINY_INTENSITY
+from .theory import violations
 
 __all__ = [
     "MomentOrder",
@@ -45,7 +46,7 @@ class MomentOrder:
     object dependence. nu must be positive by default; nu in (-1/2, 0] is
     admitted only via ``allow_small_negative_nu`` (estimates get heavy
     tails), and nu <= -1/2 is always refused because the estimator
-    variance is infinite there.
+    variance is infinite there (the existence table's rows at m = inf).
     """
 
     mu: float
@@ -56,22 +57,14 @@ class MomentOrder:
         if not (np.isfinite(self.mu) and np.isfinite(self.nu)):
             raise DomainError("orders must be finite")
         if self.mu == 0:
-            raise DomainError(
-                "mu = 0 is rejected: the image degenerates to a constant"
-            )
-        if self.nu <= -0.5:
-            raise DomainError(
-                f"nu = {self.nu} <= -1/2: estimator variance is infinite"
-            )
+            raise DomainError("mu = 0 is rejected: the image degenerates to a constant")
+        if reasons := violations("signal variance", np.inf, self.mu, self.nu):
+            raise DomainError(f"estimator variance is infinite ({'; '.join(reasons)})")
         if self.nu <= 0 and not self.allow_small_negative_nu:
-            raise DomainError(
-                f"nu = {self.nu} <= 0 requires allow_small_negative_nu"
-            )
+            raise DomainError(f"nu = {self.nu} <= 0 requires allow_small_negative_nu")
         if self.nu <= 0:
-            warnings.warn(
-                f"nu = {self.nu} <= 0: heavy-tailed estimates, expect slow convergence",
-                stacklevel=2,
-            )
+            warnings.warn(f"nu = {self.nu} <= 0: heavy-tailed estimates, expect slow convergence",
+                          stacklevel=3)  # past the dataclass-made __init__, to the caller
 
 
 def _power(values: np.ndarray, exponent: float | np.ndarray) -> np.ndarray:

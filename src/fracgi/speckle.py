@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+from numpy.random import PCG64, Generator  # eager: numpy loads numpy.random lazily
 
 from .objects import ObjectMask
 
@@ -69,8 +70,8 @@ def _intensity_block(config: SpeckleConfig, start: int, count: int) -> np.ndarra
     clamp to the smallest positive normal intensity. The transform runs
     in place: a batch holds one array of its size.
     """
-    bitgen = np.random.PCG64(config.seed).advance(start * config.n)
-    out = np.random.Generator(bitgen).random((count, config.n))
+    bitgen = PCG64(config.seed).advance(start * config.n)
+    out = Generator(bitgen).random((count, config.n))
     np.subtract(1.0, out, out=out)
     np.log(out, out=out)
     out *= -config.i0

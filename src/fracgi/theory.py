@@ -15,7 +15,7 @@ GammaMixtureModel: a mixture of Gamma laws with nonnegative weights (the
 sum of one Gamma law per transmittance level), whose one-term case is the
 binary Erlang density above; the binary joint density is the Erlang law
 of the other units times the pixel's exponential. General moments are one
-integral over the joint bucket/reference Laplace transform.
+trapezoidal sum over the joint bucket/reference Laplace transform.
 
 Everything is evaluated in log space with one final exponentiation; the
 Gamma ratios overflow doubles long before the results do.
@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .objects import DomainError, ObjectMask
 
@@ -58,10 +57,18 @@ _TAIL_SDS = 40.0      # term-count allowance past mean(N), in sd(N)
 _TERM_CAP = 1 << 16   # most terms before the Monte-Carlo path is named
 _RESTART = 32         # Poisson-term recurrence steps between exact restarts
 _BLOCK = 1 << 15      # points per cache-sized block of that recurrence
+_STIRLING = 32        # restarts from this t on use Stirling's series for log t!
+_STEP = 0.25          # general moments: trapezoidal step in u = log(sS) at K - mu <= 2
+_NODE_CAP = 1 << 20   # most nodes before a near-divergent moment is refused
+_CELLS = 1 << 20      # doubles per node block of the derivative recursion
+_ORDER_CAP = 1 << 10  # largest K of the O(K^2) derivative recursion (mu < 1023)
+
+# log Gamma for scalars and arrays (of dtype object); inf from x = 2.5e305 on, near overflow
+_lgamma = np.frompyfunc(lambda x: math.lgamma(x) if x < 2.5e305 else math.inf, 1, 1)
 
 
 class QuadratureError(RuntimeError):
-    """Numerical integration failed to converge or returned a non-finite value."""
+    """A general moment overflowed a double or its trapezoidal sum is not finite."""
 
 
 # Existence rule: (rule, quantity, value) rows whose quantities must all be
@@ -102,29 +109,28 @@ def _require(rule: str, m, mu, nu) -> None:
     _check(not reasons, "; ".join(reasons))
 
 
-def moment_background(m: int, mu, nu, i0: float = 1.0):
-    """Background fractional moment <I_B^mu I_i^nu> at a t=0 pixel."""
+def _log_moment(m, mu, nu, t):
+    """log <I_B^mu I_i^nu> at a pixel of transmittance t in {0, 1}, I0 = 1."""
+    return np.asarray(_lgamma(m + mu + t * nu) + _lgamma(1 + nu) - _lgamma(m + t * nu), float)
+
+
+def _binary_moment(m: int, mu, nu, i0: float, t: int):
     mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
     _check(m >= 1, "m >= 1 required")
     _require("moment", m, mu, nu)
     _check(0 < i0 < math.inf, "i0 must be positive and finite")
-    out = np.exp(
-        gammaln(m + mu) + gammaln(1 + nu) - gammaln(m) + (mu + nu) * math.log(i0)
-    )
+    out = np.exp(_log_moment(m, mu, nu, t) + (mu + nu) * math.log(i0))
     return float(out) if out.ndim == 0 else out
+
+
+def moment_background(m: int, mu, nu, i0: float = 1.0):
+    """Background fractional moment <I_B^mu I_i^nu> at a t=0 pixel."""
+    return _binary_moment(m, mu, nu, i0, 0)
 
 
 def moment_signal(m: int, mu, nu, i0: float = 1.0):
     """Signal fractional moment <I_B^mu I_i^nu> at a t=1 pixel."""
-    mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
-    _check(m >= 1, "m >= 1 required")
-    _require("moment", m, mu, nu)
-    _check(0 < i0 < math.inf, "i0 must be positive and finite")
-    out = np.exp(
-        gammaln(m + mu + nu) + gammaln(1 + nu) - gammaln(m + nu)
-        + (mu + nu) * math.log(i0)
-    )
-    return float(out) if out.ndim == 0 else out
+    return _binary_moment(m, mu, nu, i0, 1)
 
 
 def visibility(m: int, mu, nu):
@@ -137,8 +143,8 @@ def visibility(m: int, mu, nu):
     mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
     _check(m >= 2, "m >= 2 required")
     _require("moment", m, mu, nu)
-    d = (gammaln(m + mu + nu) - gammaln(m + mu)) - (gammaln(m + nu) - gammaln(m))
-    out = np.abs(np.tanh(0.5 * d))
+    d = (_lgamma(m + mu + nu) - _lgamma(m + mu)) - (_lgamma(m + nu) - _lgamma(m))
+    out = np.abs(np.tanh(0.5 * np.asarray(d, float)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -148,14 +154,13 @@ def peak_snr_per_sqrt_n(m: int, mu, nu):
     _check(m >= 2, "m >= 2 required")
     _require("moment", m, mu, nu)
     _require("signal variance", m, mu, nu)
-    ln_sig = gammaln(m + mu + nu) + gammaln(1 + nu) - gammaln(m + nu)
-    ln_bg = gammaln(m + mu) + gammaln(1 + nu) - gammaln(m)
+    ln_sig, ln_bg = _log_moment(m, mu, nu, 1), _log_moment(m, mu, nu, 0)
     hi = np.maximum(ln_sig, ln_bg)
     lo = np.minimum(ln_sig, ln_bg)
     with np.errstate(divide="ignore"):  # nu = 0: equal moments, contrast 0
         ln_contrast = hi + np.log1p(-np.exp(lo - hi))
     # noise: order-doubled signal moment minus squared signal moment
-    ln_second = gammaln(m + 2 * mu + 2 * nu) + gammaln(1 + 2 * nu) - gammaln(m + 2 * nu)
+    ln_second = _log_moment(m, 2 * mu, 2 * nu, 1)
     ln_square = 2.0 * ln_sig
     _check(ln_second > ln_square, "degenerate variance (second moment <= square)")
     ln_var = ln_second + np.log1p(-np.exp(ln_square - ln_second))
@@ -172,18 +177,12 @@ class ValidityFlags:
     reasons: tuple[str, ...]
 
 
-def _effective_m(mask_or_m) -> int:
-    if isinstance(mask_or_m, ObjectMask):
-        # small-x exponent of the bucket density: one factor per nonzero unit
-        return int(np.count_nonzero(mask_or_m.units))
-    return int(mask_or_m)
-
-
 def validity_domain(mask_or_m, mu: float, nu: float) -> ValidityFlags:
     """Existence check; for grayscale masks the effective-unit role of m is
     played by the count of nonzero units (the small-argument exponent of
     the bucket density). The variance flag is the signal class's."""
-    m = _effective_m(mask_or_m)
+    m = (int(np.count_nonzero(mask_or_m.units)) if isinstance(mask_or_m, ObjectMask)
+         else int(mask_or_m))
     reasons = violations("moment", m, mu, nu)
     var_reasons = violations("signal variance", m, mu, nu)
     return ValidityFlags(
@@ -256,9 +255,9 @@ class GammaMixtureModel:
     with nonnegative weights (Moschopoulos 1985, Ann. Inst. Statist. Math. 37:541).
 
     With y = x/scale and the Poisson terms d_t(y) = y^t e^-y / t!, the density
-    is sum_n w_n d_(shape+n-1)(y) / scale and, by P(s+1, y) = P(s, y) - d_s(y),
-    the CDF is sum_(j<J-1) C_j d_(shape+j)(y) + P(shape+J-1, y), C the
-    cumulative weights: sums of nonnegative terms, so nothing cancels.
+    is sum_n w_n d_(shape+n-1)(y) / scale and, as P(s, y) = sum_(t>=s) d_t(y),
+    the CDF is sum_t C_t d_t(y) = 1 - sum_t (1 - C_t) d_t(y), C_t the weights
+    of the terms of shape <= t: 0 below shape, 1 from s = shape+J-1 on.
     """
 
     scale: float         # theta = I0 * smallest nonzero t
@@ -274,9 +273,17 @@ class GammaMixtureModel:
         return out if out.ndim else float(out)
 
     def cdf(self, x):
+        # below y = s the first sum, cut 10 sqrt(s) + 40 terms past s (< 1e-20 of its
+        # tail), from there on 1 minus the second, which ends at t = s and is <= ~1/2
         y = self._reduced(x)
-        head = _poisson_sum(y, self.shape, np.cumsum(self.weights)[:-1])
-        return np.minimum(head + gammainc(self.shape + self.weights.size - 1, y), 1.0)
+        cum = np.cumsum(self.weights)[:-1]
+        below = y < self.shape + cum.size
+        tail = np.ones(math.ceil(10.0 * math.sqrt(self.shape + cum.size)) + 40)
+        out = np.empty_like(y)
+        out[below] = _poisson_sum(y[below], self.shape, np.append(cum, tail))
+        out[~below] = 1.0 - _poisson_sum(y[~below], 0, np.append(np.ones(self.shape), 1.0 - cum))
+        out = np.minimum(out, 1.0)
+        return out if out.ndim else float(out)
 
     def _reduced(self, x):
         # y = x/scale; x <= 0 maps to y = 0 (zero CDF), x = inf to the
@@ -287,6 +294,16 @@ class GammaMixtureModel:
 def _erlang(shape: int, scale: float) -> GammaMixtureModel:
     """Gamma(shape, scale) law of a sum of shape i.i.d. exponentials: one term."""
     return GammaMixtureModel(scale=scale, shape=shape, weights=np.ones(1), mean=shape * scale)
+
+
+def _log_poisson_term(t: int, y, log_y):
+    """log d_t(y); from t = _STIRLING on as t (log1p(x) - x) - log(2 pi t)/2 -
+    (Stirling tail of log t!), x = y/t - 1, free of t*log(y)'s round-off."""
+    if t < _STIRLING:  # d_0 = e^-y, also at y = 0, where t*log(y) would be 0*(-inf)
+        return (t * log_y if t else 0.0) - y - math.lgamma(t + 1)
+    x = (y - t) / t
+    tail = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * t * t)) / (t * t)) / (t * t)) / t
+    return t * (np.log1p(x) - x) - 0.5 * math.log(2 * math.pi * t) - tail
 
 
 def _poisson_sum(y, t0: int, coef: np.ndarray):
@@ -300,18 +317,18 @@ def _poisson_sum(y, t0: int, coef: np.ndarray):
     out = np.empty_like(flat)
     for b in range(0, flat.size, _BLOCK):
         yb = flat[b:b + _BLOCK]
-        with np.errstate(divide="ignore"):  # log 0 = -inf: every term is 0
+        # log 0 = -inf and y = inf overflow: every such term is 0
+        with np.errstate(divide="ignore", over="ignore"):
             log_y = np.log(yb)
-        acc = np.zeros_like(yb)
-        for j, c in enumerate(coef):  # j = 0 starts exactly
-            t = t0 + j
-            if j % _RESTART == 0:
-                # d_0 = e^-y, also at y = 0, where t*log(y) would be 0*(-inf)
-                term = np.exp((t * log_y if t else 0.0) - yb - math.lgamma(t + 1))
-            else:
-                term *= yb
-                term *= 1.0 / t
-            acc += c * term
+            acc = np.zeros_like(yb)
+            for j, c in enumerate(coef):  # j = 0 starts exactly
+                t = t0 + j
+                if j % _RESTART == 0:
+                    term = np.exp(_log_poisson_term(t, yb, log_y))
+                else:
+                    term *= yb
+                    term *= 1.0 / t
+                acc += c * term
         out[b:b + _BLOCK] = acc
     return out.reshape(np.shape(y)) if np.ndim(y) else float(out[0])
 
@@ -324,8 +341,7 @@ def joint_pdf_binary(m: int, i0: float, i_b, i_i, t_i: int):
     i_b - t_i*i_i times the pixel's exponential density. For t_i = 1 it
     vanishes off i_i <= i_b (the pixel is one summand of the bucket).
     """
-    i_b = np.asarray(i_b, dtype=float)
-    i_i = np.asarray(i_i, dtype=float)
+    i_b, i_i = np.asarray(i_b, dtype=float), np.asarray(i_i, dtype=float)
     _check(not (np.any(i_b < 0) or np.any(i_i < 0)), "intensities must be nonnegative")
     _check(t_i in (0, 1), "t_i must be 0 or 1 for the binary joint density")
     _check(m - t_i >= 1, f"t={t_i} joint density requires m >= {1 + t_i}")
@@ -402,15 +418,15 @@ def moment_general(mask: ObjectMask, pixel: int, mu: float, nu: float, i0: float
 
     With a_j = t_j*I0 and the joint transform phi(s) = E[exp(-s I_B) I_i^nu]
     = Gamma(1+nu) I0^nu (1+s a_i)^-(1+nu) prod_{j!=i} (1+s a_j)^-1, the moment
-    is int_0^inf s^(K-mu-1) (-d/ds)^K phi ds / Gamma(K-mu), K = 0 for mu < 0
-    and floor(mu)+1 otherwise (Cressie & Borkent 1986). The derivative comes
-    from the all-positive recursion g_{n+1} = sum_r C(n,r) c_{r+1} g_{n-r} for
-    g_n = (-1)^n phi^(n)/phi, c_r = (r-1)! sum_j k_j (a_j/(1+s a_j))^r; the
-    integral runs over u = log(s S), S the mean bucket, in log space.
+    is int_0^inf s^(K-mu-1) (-d/ds)^K phi ds / Gamma(K-mu), K = max(0, floor(mu)+2)
+    (Cressie & Borkent 1986). h_n = (-1)^n phi^(n) / (n! phi) obeys the all-positive
+    h_(n+1) = sum_(r<=n) p_(r+1) h_(n-r) / (n+1), p_r = sum_j k_j (a_j/(1+s a_j))^r.
+    In u = log(s S), S the mean bucket, the integrand falls like exp(rate u), rate = K-mu,
+    and exp(-exponent u) at the ends; (-d/ds)^K phi is a Laplace transform, so a step h
+    errs by about 2 |Gamma(rate + 2 pi i/h)|/Gamma(rate) relative (Trefethen & Weideman
+    2014, SIAM Rev. 56:385), <= 4.5e-15 at h = _STEP min(1, sqrt(2/rate)). Nodes run
+    5 + 40/rate past the extreme levels log(a_j/S), log1p(rate/exponent) more on the right.
     """
-    # deferred: scipy.integrate adds ~0.3 s to the package import time
-    from scipy.integrate import quad
-
     _check(0 <= pixel < mask.n, f"pixel {pixel} out of range for n={mask.n}")
     _check(nu > -1, "1+nu <= 0")
     _check(0 < i0 < math.inf, "i0 must be positive and finite")
@@ -428,28 +444,31 @@ def moment_general(mask: ObjectMask, pixel: int, mu: float, nu: float, i0: float
         a, k = np.append(a, t_i * i0), np.append(k, 1.0 + nu)
     scale = float(k @ a)
     log_b = np.log(a / scale)
-    order = 0 if mu < 0 else math.floor(mu) + 1
-
-    def integrand(u: float) -> float:
-        # s q_j = sigmoid(u + log b_j) = w r_j with w the largest, r_j in (0, 1],
-        # so s^K g_K = w^K G_K with G_K the recursion run on the r_j
-        softplus = np.logaddexp(0.0, u + log_b)  # log(1 + s a_j)
-        log_sq = u + log_b - softplus
-        log_w = float(log_sq.max())
-        r = np.exp(log_sq - log_w)
-        c = [math.factorial(n) * float(k @ r ** (n + 1)) for n in range(order)]
-        g = [1.0]
-        for n in range(order):
-            g.append(sum(math.comb(n, j) * c[j] * g[n - j] for j in range(n + 1)))
-        return math.exp(order * log_w - mu * u - float(k @ softplus)) * g[order]
-
-    log_norm = gammaln(1 + nu) + nu * math.log(i0) + mu * math.log(scale) - gammaln(order - mu)
-    try:
-        value, _, _, *failure = quad(integrand, -np.inf, np.inf, epsrel=1e-12, full_output=1)
-        out = value * math.exp(log_norm)
-    except OverflowError as exc:
-        raise QuadratureError(f"moment overflows a double (mu={mu}, nu={nu})") from exc
-    if failure or not math.isfinite(out):
-        reason = failure[0] if failure else "non-finite value"
-        raise QuadratureError(f"moment integral failed (mu={mu}, nu={nu}, t_i={t_i}): {reason}")
+    order = max(0, math.floor(mu) + 2)
+    rate = order - mu
+    step = _STEP * min(1.0, math.sqrt(2.0 / rate))
+    lo = -log_b.max() - 5.0 - 40.0 / rate
+    hi = -log_b.min() + 5.0 + 40.0 / exponent + math.log1p(rate / exponent)
+    _check(order <= _ORDER_CAP and (hi - lo) / step <= _NODE_CAP,
+           f"no trapezoidal moment: mu = {mu:g} too high or exponent {exponent:g} too near 0")
+    log_norm = (math.lgamma(1 + nu) + nu * math.log(i0) + mu * math.log(scale)
+                + math.lgamma(order + 1) - math.lgamma(rate))
+    nodes = np.arange(lo, hi, step)[:, None]
+    out = 0.0
+    # node blocks hold each nodes x (levels + 2K) working set to _CELLS doubles
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: QuadratureError below
+        for u in np.array_split(nodes, 1 + nodes.size * (a.size + 2 * order) // _CELLS):
+            softplus = np.logaddexp(0.0, u + log_b)  # log(1 + s a_j), nodes x levels
+            # s a_j/(1 + s a_j) = w r_j, w the largest, r_j in (0, 1]: s^K h_K = w^K h_K(r)
+            log_sq = u + log_b - softplus
+            log_w = log_sq.max(axis=1)
+            r = np.exp(log_sq - log_w[:, None])
+            power = [r ** (n + 1) @ k for n in range(order)]
+            h = [np.ones(u.shape[0])]
+            for n in range(order):
+                h.append(sum(power[j] * h[n - j] for j in range(n + 1)) / (n + 1))
+            terms = np.exp(order * log_w - mu * u[:, 0] - softplus @ k + log_norm) * h[order]
+            out += step * float(terms.sum())
+    if not math.isfinite(out):
+        raise QuadratureError(f"moment overflows a double (mu={mu}, nu={nu}, t_i={t_i})")
     return out

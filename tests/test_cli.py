@@ -155,6 +155,21 @@ def test_simulate_nu_too_negative_domain_error(tmp_path, capsys):
     assert "variance" in err
 
 
+def test_simulate_small_negative_nu_needs_the_unsafe_flag(tmp_path, capsys):
+    argv = ["simulate", "--n-samples", "2000", "--orders=1:-0.2", "--seed", "1"]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "refused"))
+    assert code == 3
+    assert "--unsafe-negative-nu" in err and "allow_small_negative_nu" not in err
+    assert not (tmp_path / "refused").exists()
+    with pytest.warns(UserWarning, match="heavy-tailed") as caught:
+        code, _, _ = run(capsys, *argv, "--unsafe-negative-nu", "--out", str(tmp_path / "run"))
+    assert code == 0
+    # the warning names the code that built the order, not the dataclass __init__
+    assert [w.filename for w in caught] == [cli.__file__]
+    result, = read_report(tmp_path / "run" / "report.json").results
+    assert result.nu == -0.2 and result.v_empirical is not None
+
+
 def test_simulate_missing_object_usage_error(tmp_path, capsys):
     code, _, err = run(
         capsys, "simulate", "--object", str(tmp_path / "nope.pgm"),

@@ -42,9 +42,10 @@ def test_nu_below_minus_half_always_rejected():
 def test_small_negative_nu_gated():
     with pytest.raises(DomainError):
         MomentOrder(mu=1.0, nu=-0.2)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as caught:
         order = MomentOrder(mu=1.0, nu=-0.2, allow_small_negative_nu=True)
     assert order.nu == -0.2
+    assert caught[0].filename == __file__
 
 
 def test_positive_nu_no_warning():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fracgi import speckle
 from fracgi.moments import MomentOrder, multi_order_pass
 from fracgi.objects import ObjectMask, letter_a_mask
 from fracgi.speckle import (
@@ -237,7 +238,7 @@ def test_transform_within_one_ulp_of_log1p(monkeypatch):
 
     cfg = config(n=1000, i0=1.5, seed=9)
     u = EdgedGenerator(np.random.PCG64(cfg.seed)).random((1000, cfg.n))
-    monkeypatch.setattr(np.random, "Generator", EdgedGenerator)
+    monkeypatch.setattr(speckle, "Generator", EdgedGenerator)
     sampled = _intensity_block(cfg, 0, 1000)
     expected = np.maximum(-cfg.i0 * np.log1p(-u), TINY_INTENSITY)
     assert sampled.flat[0] == TINY_INTENSITY

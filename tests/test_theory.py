@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc
 
 import fracgi
+from fracgi import theory
 from fracgi.objects import ObjectMask, letter_a_mask
 from fracgi.theory import (
     DomainError,
@@ -79,6 +80,9 @@ def test_moment_domain_errors():
         moment_signal(2, -2.2, 0.1)
     with pytest.raises(DomainError):
         moment_background(3, 1.0, -1.2)
+    # log Gamma past double range is inf, as in scipy, never an OverflowError
+    with pytest.raises(DomainError, match="degenerate variance"), np.errstate(invalid="ignore"):
+        peak_snr_per_sqrt_n(20, 1e306, 1.0)
 
 
 def test_closed_forms_name_the_least_violating_value_over_arrays():
@@ -220,7 +224,21 @@ def test_erlang_matches_scipy_gamma(m, scale):
     xs = law.ppf(np.linspace(1e-6, 1 - 1e-6, 501))
     model = erlang(m, scale)
     np.testing.assert_allclose(model.pdf(xs), law.pdf(xs), rtol=1e-12)
-    np.testing.assert_array_equal(model.cdf(xs), gammainc(m, xs / scale))
+    np.testing.assert_allclose(model.cdf(xs), gammainc(m, xs / scale), rtol=1e-12)
+
+
+@pytest.mark.parametrize("m", [200, 1500, 4096])
+def test_erlang_matches_mpmath_at_large_shapes(m):
+    # 40-digit oracle over +-6 sd: Poisson terms restarted from
+    # t*log(y) - y - lgamma(t+1) lose ~t ulp (1.6e-13 to 6e-12 here)
+    model = erlang(m, 1.0)
+    xs = m + math.sqrt(m) * np.linspace(-6.0, 6.0, 49)
+    with mp.workdps(40):
+        points = [mp.mpf(float(x)) for x in xs]
+        pdf = [float(mp.exp((m - 1) * mp.log(x) - x - mp.loggamma(m))) for x in points]
+        cdf = [float(mp.gammainc(m, 0, x, regularized=True)) for x in points]
+    np.testing.assert_allclose(model.pdf(xs), pdf, rtol=5e-14)
+    np.testing.assert_allclose(model.cdf(xs), cdf, rtol=5e-14)
 
 
 def test_erlang_zero_at_origin_for_m2():
@@ -482,18 +500,43 @@ def test_clustered_poles_fall_back_to_inversion():
 # -- general moments from the Laplace transform ------------------------------
 
 
-@pytest.mark.parametrize("mu", [-2.7183, -1.414, -0.618, 0.618, 1.414, 2.7183])
-def test_moment_general_binary_signal(mu):
-    mask = letter_a_mask()
-    got = moment_general(mask, 3, mu, 0.5)  # pixel 3 is a t=1 unit
-    assert got == pytest.approx(moment_signal(20, mu, 0.5), rel=1e-10)
+# 64x64 binary mask with 39 ones; at this m the closed forms keep ~1e-14
+WIDE_BINARY = ObjectMask(width=64, height=64,
+                         units=(np.random.default_rng(1).random(4096) < 0.01).astype(float))
+EXTRA_MU = [-2.5, -0.999, 0.999, 5.5]
+# 64x64 binary mask with 30 % ones (1240): at mu = -10 and -20 the integrand is a
+# peak (K-mu)^-1/2 wide in u, which a step of 0.25 resolves only to 2e-9 and 4e-7
+DENSE_BINARY = ObjectMask(width=64, height=64,
+                          units=(np.random.default_rng(1).random(4096) < 0.3).astype(float))
 
 
-@pytest.mark.parametrize("mu", [-2.7183, -0.618, 1.414])
-def test_moment_general_binary_background(mu):
-    mask = letter_a_mask()
-    got = moment_general(mask, 0, mu, 0.5)  # pixel 0 is a t=0 unit
-    assert got == pytest.approx(moment_background(20, mu, 0.5), rel=1e-10)
+def binary_cases(mus):
+    """(mask, mu) cases: letter A keeps the bare mu as its id."""
+    return ([pytest.param(letter_a_mask(), mu, id=f"{mu}") for mu in mus]
+            + [pytest.param(WIDE_BINARY, mu, id=f"64x64-{mu}") for mu in mus]
+            + [pytest.param(DENSE_BINARY, mu, id=f"dense-{mu}") for mu in (-10.0, -20.0)])
+
+
+def binary_moment(m: int, mu: float, nu: float, t: int) -> float:
+    """The binary closed form in 40-digit mpmath; in doubles it loses ~1e-12 at m ~ 1200."""
+    with mp.workdps(40):
+        return float(mp.gamma(m + mu + t * nu) * mp.gamma(1 + nu) / mp.gamma(m + t * nu))
+
+
+@pytest.mark.parametrize(
+    "mask,mu", binary_cases([-2.7183, -1.414, -0.618, 0.618, 1.414, 2.7183] + EXTRA_MU)
+)
+def test_moment_general_binary_signal(mask, mu):
+    pixel = int(np.flatnonzero(mask.units == 1)[0])
+    expected = binary_moment(int(mask.units.sum()), mu, 0.5, 1)
+    assert moment_general(mask, pixel, mu, 0.5) == pytest.approx(expected, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("mask,mu", binary_cases([-2.7183, -0.618, 1.414] + EXTRA_MU))
+def test_moment_general_binary_background(mask, mu):
+    pixel = int(np.flatnonzero(mask.units == 0)[0])
+    expected = binary_moment(int(mask.units.sum()), mu, 0.5, 0)
+    assert moment_general(mask, pixel, mu, 0.5) == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 def test_moment_general_grayscale_integer_orders():
@@ -571,6 +614,15 @@ def test_moment_general_large_six_level_mask():
         assert math.isfinite(moment_general(mask, pixel, 0.618, 0.5))
 
 
+def test_moment_general_node_blocks_add_up(monkeypatch):
+    # a many-level mask runs in node blocks of bounded memory; blocks of at
+    # most one node sum to the one-block value
+    mask = ObjectMask(width=64, height=64, units=np.random.default_rng(3).random(4096))
+    whole = moment_general(mask, 0, 2.5, 0.5, i0=1 / 2048)
+    monkeypatch.setattr(theory, "_CELLS", 4096)
+    assert moment_general(mask, 0, 2.5, 0.5, i0=1 / 2048) == pytest.approx(whole, rel=1e-14)
+
+
 def test_moment_general_failures_are_typed():
     # the only exceptions are DomainError and QuadratureError, never a bare
     # OverflowError, even where the moment exceeds a double
@@ -578,11 +630,33 @@ def test_moment_general_failures_are_typed():
         moment_general(GRAY, 0, 400.0, 0.5)
     with pytest.raises(DomainError):
         moment_general(GRAY, 0, math.inf, 0.5)
+    # refused before any work: a K = 10^6 derivative recursion, and the
+    # ~1e11 nodes of a moment whose decay exponent is 1e-9
+    with pytest.raises(DomainError, match="no trapezoidal moment"):
+        moment_general(GRAY, 0, 1e6, 0.5)
+    two = ObjectMask(width=3, height=1, units=np.array([1.0, 1.0, 0.0]))
+    with pytest.raises(DomainError, match="no trapezoidal moment"):
+        moment_general(two, 2, -2.0 + 1e-9, 0.5)
 
 
-def test_import_does_not_load_quadrature():
-    # scipy.integrate is imported by moment_general on first use only, and
-    # no scipy.linalg user is left
+def test_runtime_loads_no_scipy(tmp_path):
+    # scipy is a test-only dependency: importing the CLI, running every
+    # command and the general moment and bucket-law CDF load no scipy module
+    code = f"""
+import sys
+import numpy as np
+from fracgi import cli, theory
+from fracgi.objects import ObjectMask
+out = {str(tmp_path)!r}
+for argv in (["predict", "--m", "20", "--mu", "1", "--nu", "1"],
+             ["sweep", "--m", "20", "--mu=-3:3:0.5", "--nu", "0.5:1:0.5", "--out", out + "/s.csv"],
+             ["simulate", "--n-samples", "500", "--orders=1:0.5,-1:0.5", "--out", out + "/sim"],
+             ["validate", "--n-samples", "500"]):
+    assert cli.main(argv) == 0, argv
+gray = ObjectMask(width=3, height=1, units=np.array([0.2, 0.5, 1.0]))
+theory.moment_general(gray, 1, 0.618, 0.5)
+theory.bucket_pdf_general(gray, 1.0).cdf(np.array([0.5, 5.0]))
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy loaded"
+"""
     src = str(Path(fracgi.__file__).parents[1])
-    code = "import sys, fracgi; assert not {'scipy.integrate', 'scipy.linalg'} & set(sys.modules)"
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
