@@ -19,11 +19,11 @@ import numpy as np
 from fracgi import (
     MomentOrder,
     ObjectMask,
+    SampleSet,
     SpeckleConfig,
     bucket_pdf_general,
     moment_general,
     multi_order_pass,
-    run_simulation,
 )
 from fracgi.reports import write_ghost_image
 
@@ -59,7 +59,7 @@ def main() -> None:
     print(f"bucket law: {type(model).__name__}, mean={model.mean:.3f}")
 
     config = SpeckleConfig(i0=1.0, seed=args.seed, n=mask.n)
-    samples = run_simulation(config, mask, args.n_samples)
+    samples = SampleSet(config=config, mask=mask, n_frames=args.n_samples)
     orders = [MomentOrder(mu, 0.5) for mu in (-1.414, 0.618, 2.7183)]
     images = multi_order_pass(samples, orders)
     for idx, (order, image) in enumerate(zip(orders, images), start=1):

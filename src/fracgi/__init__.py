@@ -9,8 +9,6 @@ moments, visibility, and peak SNR.
 from .metrics import (
     ImageMetrics,
     class_average_matrix,
-    empirical_peak_snr,
-    empirical_visibility,
     image_metrics,
 )
 from .moments import GhostImage, MomentOrder, multi_order_pass
@@ -24,7 +22,7 @@ from .objects import (
     load_object,
     save_object_csv,
 )
-from .speckle import SampleSet, SpeckleConfig, run_simulation
+from .speckle import SampleSet, SpeckleConfig
 from .theory import (
     AnalyticPrediction,
     DomainError,

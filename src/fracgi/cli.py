@@ -119,7 +119,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = speckle.SpeckleConfig(i0=args.i0, seed=args.seed, n=mask.n)
-    samples = speckle.run_simulation(config, mask, args.n_samples)
+    samples = speckle.SampleSet(config=config, mask=mask, n_frames=args.n_samples)
     images = moments.multi_order_pass(samples, orders, workers=args.workers)
 
     results = []
@@ -134,7 +134,7 @@ def cmd_simulate(args) -> int:
             if order_flags.variance_finite:
                 rp_emp = im.rp_empirical
         v_ana = rp_ana = None
-        if classes.is_binary and classes.m is not None and classes.m >= 2:
+        if classes.m is not None and classes.m >= 2:
             pred = theory.predict(classes.m, order.mu, order.nu, args.n_samples, args.i0)
             v_ana, rp_ana = pred.visibility, pred.peak_snr
         results.append(
@@ -214,7 +214,7 @@ def cmd_validate(args) -> int:
     for order in orders:
         theory.require_moment(args.m, order.mu, order.nu)
     config = speckle.SpeckleConfig(i0=args.i0, seed=args.seed, n=mask.n)
-    samples = speckle.run_simulation(config, mask, args.n_samples)
+    samples = speckle.SampleSet(config=config, mask=mask, n_frames=args.n_samples)
 
     print(
         f"validate: m={args.m} N={args.n_samples} seed={args.seed} "

@@ -1,11 +1,11 @@
 """Empirical visibility and peak SNR of reconstructed ghost images.
 
-Both metrics compare the raw-moment levels of the t=1 (signal) and t=0
-(background) pixel classes; fractional pixels have no class and are
-excluded (their count is reported). Under the i.i.d. speckle model all
-pixels of a class are exchangeable, so class pooling uses every frame and
-pixel while the per-frame class mean captures the cross-pixel correlation
-induced by the shared bucket value. ``class_average_matrix`` gives
+``image_metrics`` computes both from one pair of class means, the
+raw-moment levels of the t=1 (signal) and t=0 (background) pixel classes;
+fractional pixels have no class and are excluded. Under the i.i.d.
+speckle model all pixels of a class are exchangeable, so class pooling
+uses every frame and pixel while the per-frame class mean captures the
+cross-pixel correlation induced by the shared bucket value. ``class_average_matrix`` gives
 ``moments.multi_order_pass`` the two class-averaging columns, so the
 class-pooled moments and their standard errors come from the same
 streaming pass as the images.
@@ -25,8 +25,6 @@ __all__ = [
     "MetricsError",
     "ImageMetrics",
     "CLASS_COLUMNS",
-    "empirical_visibility",
-    "empirical_peak_snr",
     "image_metrics",
     "class_average_matrix",
 ]
@@ -47,8 +45,6 @@ class ImageMetrics:
     rp_empirical: float
     mean_signal: float       # class-mean raw moment over t=1 pixels
     mean_background: float   # class-mean raw moment over t=0 pixels
-    n_samples: int
-    excluded_fractional: int
 
 
 def _require_both_classes(classes: UnitClasses) -> None:
@@ -58,47 +54,29 @@ def _require_both_classes(classes: UnitClasses) -> None:
         raise MetricsError("empty background class (no t=0 pixels)")
 
 
-def _class_means(values: np.ndarray, classes: UnitClasses) -> tuple[float, float]:
+def image_metrics(image: GhostImage, classes: UnitClasses) -> ImageMetrics:
+    """Class means of the raw moment, visibility |s-b|/(s+b), and peak SNR:
+    sqrt(N) times class contrast over the signal-class standard deviation of
+    the raw moment (order-doubled moment minus squared mean, both pooled
+    over t=1 pixels)."""
     _require_both_classes(classes)
-    return (
-        float(values[classes.one_units].mean()),
-        float(values[classes.zero_units].mean()),
-    )
-
-
-def empirical_visibility(image: GhostImage | np.ndarray, classes: UnitClasses) -> float:
-    """Visibility from class-mean raw moments, |s-b|/(s+b)."""
-    raw = image.joint_mean if isinstance(image, GhostImage) else np.asarray(image)
-    mean_signal, mean_background = _class_means(raw, classes)
+    mean_signal = float(image.joint_mean[classes.one_units].mean())
+    mean_background = float(image.joint_mean[classes.zero_units].mean())
     denom = mean_signal + mean_background
     if denom <= 0:
         raise MetricsError("nonpositive class means")
-    return abs(mean_signal - mean_background) / denom
-
-
-def empirical_peak_snr(image: GhostImage, classes: UnitClasses) -> float:
-    """Peak SNR: sqrt(N) times class contrast over the signal-class
-    standard deviation of the raw moment (order-doubled moment minus
-    squared mean, both pooled over t=1 pixels)."""
     if image.n_samples < 2:
         raise MetricsError("need at least 2 samples")
-    mean_signal, mean_background = _class_means(image.joint_mean, classes)
     second_signal = float(image.joint2_mean[classes.one_units].mean())
     var = second_signal - mean_signal**2
     if var <= 0:
         raise MetricsError("nonpositive pooled variance estimate (undersampled)")
-    return math.sqrt(image.n_samples) * abs(mean_signal - mean_background) / math.sqrt(var)
-
-
-def image_metrics(image: GhostImage, classes: UnitClasses) -> ImageMetrics:
-    mean_signal, mean_background = _class_means(image.joint_mean, classes)
+    contrast = abs(mean_signal - mean_background)
     return ImageMetrics(
-        v_empirical=empirical_visibility(image, classes),
-        rp_empirical=empirical_peak_snr(image, classes),
+        v_empirical=contrast / denom,
+        rp_empirical=math.sqrt(image.n_samples) * contrast / math.sqrt(var),
         mean_signal=mean_signal,
         mean_background=mean_background,
-        n_samples=image.n_samples,
-        excluded_fractional=int(classes.fractional_units.size),
     )
 
 

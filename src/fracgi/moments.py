@@ -9,8 +9,9 @@ pairs at once: per batch and per distinct nu, the reference powers R and
 their column sums are computed once, and each order's joint sums are the
 mat-vecs b @ R and b^2 @ R^2, b its bucket powers. One stacked product per nu
 would be a GEMM, but then an order's bits would depend on how many orders
-share its nu. Frames are sharded in fixed-size ranges and shard sums are
-added in shard-index order, so results do not depend on the worker count.
+share its nu. Frames are sharded in fixed 8192-frame ranges and each shard's
+sums are added to the total in shard-index order as they arrive, so results
+do not depend on the worker count and memory does not grow with N.
 
 Given a unit-to-group matrix P, the pass reduces per-frame group values
 y_f = I_B^mu * sum_i P[i, c] I_i^nu instead of pixels; with class-averaging
@@ -19,6 +20,7 @@ columns these are the class statistics ``fracgi validate`` checks.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,7 +37,9 @@ __all__ = [
     "multi_order_pass",
 ]
 
-DEFAULT_SHARD_SIZE = 8192
+# frames per shard: a multiple of every batch size (powers of two <= 2048),
+# so a shard never starts mid-batch; fixed, since the sums' bits depend on it
+_SHARD_SIZE = 8192
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,8 @@ class GhostImage:
         """Per-pixel standard error of g, from the raw-moment error scaled
         by the normalization. It ignores the covariance of the numerator
         with the two denominators, so it overstates g's spread: on letter A
-        it is 2-9x the across-seed sd of g per pixel and 8-13x on class
-        averages. A delta-method SE that keeps those covariances would not."""
+        it is 2.0-8.9x the across-seed sd of g per pixel and 4.3-12.9x on
+        class averages. A delta-method SE that keeps those covariances would not."""
         return self.joint_se() / (self.bucket_mean * self.ref_mean)
 
 
@@ -166,7 +170,7 @@ class _Sums:
             )
         self.n += buckets.size
 
-    def merge(self, other: "_Sums") -> None:
+    def merge(self, other: "_Sums") -> "_Sums":
         """Fold another shard's sums into these (call in shard order)."""
         self.joint += other.joint
         self.joint2 += other.joint2
@@ -174,6 +178,7 @@ class _Sums:
         self.bucket += other.bucket
         self.bucket2 += other.bucket2
         self.n += other.n
+        return self
 
     def finalize(self, width: int, height: int) -> list[GhostImage]:
         """One normalized ghost image with raw moment estimates per order."""
@@ -206,28 +211,24 @@ class _Sums:
         return images
 
 
-def _shard_ranges(n_frames: int, shard_size: int) -> list[tuple[int, int]]:
-    return [(s, min(s + shard_size, n_frames)) for s in range(0, n_frames, shard_size)]
-
-
 def multi_order_pass(
     samples: SampleSet,
     orders: list[MomentOrder],
     *,
     workers: int = 1,
-    shard_size: int = DEFAULT_SHARD_SIZE,
     pair_shift: int = 0,
     groups: np.ndarray | None = None,
 ) -> list[GhostImage]:
     """One streaming pass over the sample set for all order pairs at once.
 
-    Frames are processed in fixed-size shards merged in shard-index order,
-    so results are identical for any worker count. ``pair_shift`` pairs the
-    reference of frame j with the bucket of frame (j + shift) mod N, which
-    destroys the bucket-reference correlation (decorrelation null runs).
-    ``groups`` (n_units x k) maps each frame's reference powers to k group
-    values before accumulation; the images are then k x 1, one pixel per
-    group column.
+    Frames are processed in fixed-size shards, and each shard's sums are
+    added to the total in shard-index order as they arrive, so results are
+    identical for any worker count and memory does not grow with N.
+    ``pair_shift`` pairs the reference of frame j with the bucket of frame
+    (j + shift) mod N, which destroys the bucket-reference correlation
+    (decorrelation null runs). ``groups`` (n_units x k) maps each frame's
+    reference powers to k group values before accumulation; the images are
+    then k x 1, one pixel per group column.
     """
     if not orders:
         raise ValueError("at least one order pair is required")
@@ -245,23 +246,20 @@ def multi_order_pass(
     if pair_shift % samples.n_frames != 0:
         shifted = np.roll(samples.buckets(), -(pair_shift % samples.n_frames))
 
-    def process(shard: tuple[int, int]) -> _Sums:
-        start, stop = shard
+    def process(start: int) -> _Sums:
         sums = _Sums(orders, width * height)
+        stop = min(start + _SHARD_SIZE, samples.n_frames)
         for first, refs, buckets in samples.iter_batches(start=start, stop=stop):
             if shifted is not None:
                 buckets = shifted[first : first + buckets.size]
             sums.add_batch(refs, buckets, groups)
         return sums
 
-    shards = _shard_ranges(samples.n_frames, shard_size)
+    # the first shard's sums are the total; both maps yield lazily, in order
+    starts = range(0, samples.n_frames, _SHARD_SIZE)
     if workers == 1:
-        partials = [process(s) for s in shards]
+        total = functools.reduce(_Sums.merge, map(process, starts))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(process, shards))
-
-    total = partials[0]
-    for part in partials[1:]:
-        total.merge(part)
+            total = functools.reduce(_Sums.merge, pool.map(process, starts))
     return total.finalize(width, height)

@@ -79,23 +79,14 @@ class UnitClasses:
     fractional_units: np.ndarray
     m: int | None
 
-    @property
-    def is_binary(self) -> bool:
-        return self.fractional_units.size == 0
 
-
-def classify_units(mask: ObjectMask, tol: float = 0.0) -> UnitClasses:
-    """Split unit indices into zero / one / fractional classes.
-
-    t <= tol goes to the zero class, t >= 1 - tol to the one class,
-    everything else is fractional.
-    """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+def classify_units(mask: ObjectMask) -> UnitClasses:
+    """Split unit indices into zero (t = 0), one (t = 1) and fractional
+    classes."""
     t = mask.units
-    zero = np.flatnonzero(t <= tol)
-    one = np.flatnonzero(t >= 1.0 - tol)
-    frac = np.flatnonzero((t > tol) & (t < 1.0 - tol))
+    zero = np.flatnonzero(t <= 0.0)
+    one = np.flatnonzero(t >= 1.0)
+    frac = np.flatnonzero((t > 0.0) & (t < 1.0))
     m = int(one.size) if frac.size == 0 else None
     return UnitClasses(zero_units=zero, one_units=one, fractional_units=frac, m=m)
 

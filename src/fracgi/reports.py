@@ -191,8 +191,13 @@ def read_report(path) -> RunReport:
         raise ReportSchemaError(
             f"unknown rng_layout {payload['rng_layout']!r} (expected {RNG_LAYOUT!r})"
         )
+    orders, entries = payload["orders"], payload["results"]
+    if not (isinstance(orders, list) and isinstance(entries, list)):
+        raise ReportSchemaError("report orders and results must be lists")
+    if not all(isinstance(o, list) and len(o) == 2 for o in orders):
+        raise ReportSchemaError("report orders must be [mu, nu] pairs")
     results = []
-    for entry in payload["results"]:
+    for entry in entries:
         try:
             results.append(OrderResult(**entry))
         except TypeError as exc:
@@ -202,7 +207,7 @@ def read_report(path) -> RunReport:
         i0=payload["i0"],
         seed=payload["seed"],
         n_samples=payload["n_samples"],
-        orders=tuple(tuple(o) for o in payload["orders"]),
+        orders=tuple(tuple(o) for o in orders),
         results=tuple(results),
         rng_layout=payload["rng_layout"],
         format_version=version,

@@ -6,6 +6,9 @@ n-unit source is the uniforms at positions [j*n, (j+1)*n) of the single
 stream PCG64(seed), which jumps to any position in O(log) steps, so frame
 j is a pure function of (seed, j), any batch of frames is one bulk draw,
 and any parallel schedule reproduces the same sample set bit for bit.
+``SampleSet(config=, mask=, n_frames=)`` is the forward model: it holds
+no frames and draws them batch by batch, in batches whose size depends
+only on the unit count.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ __all__ = [
     "RNG_LAYOUT",
     "SpeckleConfig",
     "SampleSet",
-    "run_simulation",
 ]
 
 # clamp floor for intensities: smallest positive normal double, so that
@@ -108,17 +110,15 @@ class SampleSet:
         return min(1 << (fit.bit_length() - 1), _MAX_BATCH_FRAMES)
 
     def iter_batches(
-        self, batch_size: int | None = None, start: int = 0, stop: int | None = None
+        self, start: int = 0, stop: int | None = None
     ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """Yield (first_index, reference_block, bucket_vector) batches of
-        ``batch_size`` frames, by default ``self.batch_size``.
+        ``self.batch_size`` frames over frames [start, stop).
 
         Each bucket is one row reduction of its frame, which does not
         depend on how many rows the batch holds (a BLAS mat-vec may).
         """
-        batch_size = self.batch_size if batch_size is None else batch_size
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
+        batch_size = self.batch_size
         stop = self.n_frames if stop is None else stop
         weights = self.mask.units
         for first in range(start, stop, batch_size):
@@ -127,15 +127,9 @@ class SampleSet:
             buckets = np.einsum("fp,p->f", refs, weights)
             yield first, refs, buckets
 
-    def buckets(self, batch_size: int | None = None) -> np.ndarray:
+    def buckets(self) -> np.ndarray:
         """All N bucket values in frame order."""
         out = np.empty(self.n_frames)
-        for first, refs, buckets in self.iter_batches(batch_size):
+        for first, refs, buckets in self.iter_batches():
             out[first : first + buckets.size] = buckets
         return out
-
-
-def run_simulation(config: SpeckleConfig, mask: ObjectMask, n_frames: int) -> SampleSet:
-    """Forward model: N frames of reference intensities with bucket values."""
-    return SampleSet(config=config, mask=mask, n_frames=n_frames)
-

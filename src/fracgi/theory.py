@@ -452,7 +452,7 @@ def moment_general(mask: ObjectMask, pixel: int, mu: float, nu: float, i0: float
     _check(order <= _ORDER_CAP and (hi - lo) / step <= _NODE_CAP,
            f"no trapezoidal moment: mu = {mu:g} too high or exponent {exponent:g} too near 0")
     log_norm = (math.lgamma(1 + nu) + nu * math.log(i0) + mu * math.log(scale)
-                + math.lgamma(order + 1) - math.lgamma(rate))
+                - math.lgamma(rate))
     nodes = np.arange(lo, hi, step)[:, None]
     out = 0.0
     # node blocks hold each nodes x (levels + 2K) working set to _CELLS doubles
@@ -463,12 +463,17 @@ def moment_general(mask: ObjectMask, pixel: int, mu: float, nu: float, i0: float
             log_sq = u + log_b - softplus
             log_w = log_sq.max(axis=1)
             r = np.exp(log_sq - log_w[:, None])
-            power = [r ** (n + 1) @ k for n in range(order)]
+            # h_n(r) <= C(lam+n-1, n), lam = sum_j k_j r_j (as r_j^n <= r_j), whose log is
+            # concave in n: run on h_n/rho^n, rho^K = C(lam+K-1, K), all below ~e^(K/e)
+            lam = np.maximum(1.0, r @ k)
+            log_c = np.asarray(_lgamma(lam + order) - _lgamma(lam), float)  # log C K!
+            rho = np.exp((log_c - math.lgamma(order + 1)) / max(order, 1))
+            power = [(r / rho[:, None]) ** (n + 1) @ k for n in range(order)]
             h = [np.ones(u.shape[0])]
             for n in range(order):
                 h.append(sum(power[j] * h[n - j] for j in range(n + 1)) / (n + 1))
-            terms = np.exp(order * log_w - mu * u[:, 0] - softplus @ k + log_norm) * h[order]
-            out += step * float(terms.sum())
+            terms = np.exp(order * log_w + log_c - mu * u[:, 0] - softplus @ k + log_norm)
+            out += step * float((terms * h[order]).sum())
     if not math.isfinite(out):
         raise QuadratureError(f"moment overflows a double (mu={mu}, nu={nu}, t_i={t_i})")
     return out

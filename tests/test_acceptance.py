@@ -18,7 +18,7 @@ from fracgi.cli import main as cli_main
 from fracgi.metrics import class_average_matrix
 from fracgi.moments import MomentOrder, multi_order_pass
 from fracgi.objects import ObjectMask, block_mask, classify_units, letter_a_mask
-from fracgi.speckle import SpeckleConfig, run_simulation
+from fracgi.speckle import SampleSet, SpeckleConfig
 from fracgi.theory import (
     bucket_pdf_general,
     moment_background,
@@ -48,7 +48,7 @@ def grid_run():
     classes = classify_units(mask)
     orders = [MomentOrder(mu, GRID_NU) for mu in GRID_MUS] + [MomentOrder(1.0, 1.0)]
     config = SpeckleConfig(i0=1.0, seed=SEED, n=mask.n)
-    samples = run_simulation(config, mask, N_SAMPLES)
+    samples = SampleSet(config, mask, N_SAMPLES)
     start = time.perf_counter()
     # class-pooled statistics: column 0 is the signal class, column 1 the background
     class_stats = multi_order_pass(samples, orders, groups=class_average_matrix(classes))
@@ -99,7 +99,7 @@ def test_criterion_3_classic_contrast(grid_run):
     st20 = grid_run["stats"][grid_run["orders"][6]]
     results.append((20, st20))
     mask5 = block_mask(5)
-    samples5 = run_simulation(SpeckleConfig(i0=1.0, seed=11, n=mask5.n), mask5, N_SAMPLES)
+    samples5 = SampleSet(SpeckleConfig(i0=1.0, seed=11, n=mask5.n), mask5, N_SAMPLES)
     (st5,) = multi_order_pass(
         samples5, [MomentOrder(1.0, 1.0)], groups=class_average_matrix(classify_units(mask5))
     )
@@ -168,7 +168,7 @@ def test_criterion_6_distributional_checks():
     ok = True
     for m in (2, 5):
         mask = ObjectMask(width=m, height=1, units=np.ones(m))
-        samples = run_simulation(SpeckleConfig(i0=1.0, seed=21 + m, n=m), mask, 100_000)
+        samples = SampleSet(SpeckleConfig(i0=1.0, seed=21 + m, n=m), mask, 100_000)
         model = bucket_pdf_general(mask, 1.0)
         p = scipy_stats.kstest(samples.buckets(), lambda x: model.cdf(x)).pvalue
         ok &= p > 1e-3

@@ -7,13 +7,11 @@ from fracgi.metrics import (
     CLASS_COLUMNS,
     MetricsError,
     class_average_matrix,
-    empirical_peak_snr,
-    empirical_visibility,
     image_metrics,
 )
 from fracgi.moments import GhostImage, MomentOrder, multi_order_pass
 from fracgi.objects import ObjectMask, classify_units, letter_a_mask
-from fracgi.speckle import SpeckleConfig, run_simulation
+from fracgi.speckle import SampleSet, SpeckleConfig
 
 
 def make_image(joint, joint2=None, n_samples=1000):
@@ -43,23 +41,19 @@ def classes_for(values):
 
 def test_constant_image_zero_visibility():
     image = make_image([2.0, 2.0])
-    assert empirical_visibility(image, classes_for([1.0, 0.0])) == 0.0
+    assert image_metrics(image, classes_for([1.0, 0.0])).v_empirical == 0.0
 
 
 def test_visibility_three_to_one():
     image = make_image([3.0, 1.0])
-    assert empirical_visibility(image, classes_for([1.0, 0.0])) == pytest.approx(0.5)
-
-
-def test_visibility_accepts_raw_array():
-    assert empirical_visibility(np.array([3.0, 1.0]), classes_for([1.0, 0.0])) == pytest.approx(0.5)
+    assert image_metrics(image, classes_for([1.0, 0.0])).v_empirical == pytest.approx(0.5)
 
 
 def test_visibility_empty_class():
     with pytest.raises(MetricsError):
-        empirical_visibility(make_image([1.0, 2.0]), classes_for([1.0, 1.0]))
+        image_metrics(make_image([1.0, 2.0]), classes_for([1.0, 1.0]))
     with pytest.raises(MetricsError):
-        empirical_visibility(make_image([1.0, 2.0]), classes_for([0.0, 0.0]))
+        image_metrics(make_image([1.0, 2.0]), classes_for([0.0, 0.0]))
 
 
 # -- peak SNR ----------------------------------------------------------------
@@ -69,26 +63,26 @@ def test_peak_snr_sqrt_n_scaling():
     a = make_image([3.0, 1.0], joint2=[10.0, 2.0], n_samples=1000)
     b = make_image([3.0, 1.0], joint2=[10.0, 2.0], n_samples=2000)
     ca = classes_for([1.0, 0.0])
-    assert empirical_peak_snr(b, ca) == pytest.approx(
-        math.sqrt(2.0) * empirical_peak_snr(a, ca)
+    assert image_metrics(b, ca).rp_empirical == pytest.approx(
+        math.sqrt(2.0) * image_metrics(a, ca).rp_empirical
     )
 
 
 def test_peak_snr_zero_contrast():
     image = make_image([2.0, 2.0], joint2=[6.0, 6.0])
-    assert empirical_peak_snr(image, classes_for([1.0, 0.0])) == 0.0
+    assert image_metrics(image, classes_for([1.0, 0.0])).rp_empirical == 0.0
 
 
 def test_peak_snr_degenerate_variance():
     image = make_image([3.0, 1.0], joint2=[9.0, 1.0])  # second moment == square
     with pytest.raises(MetricsError):
-        empirical_peak_snr(image, classes_for([1.0, 0.0]))
+        image_metrics(image, classes_for([1.0, 0.0]))
 
 
-def test_image_metrics_reports_exclusions():
+def test_image_metrics_excludes_fractional_pixels():
+    # the fractional pixel's raw moment 2.0 enters neither class mean
     image = make_image([3.0, 1.0, 2.0])
     m = image_metrics(image, classes_for([1.0, 0.0, 0.5]))
-    assert m.excluded_fractional == 1
     assert m.mean_signal == pytest.approx(3.0)
     assert m.mean_background == pytest.approx(1.0)
 
@@ -100,7 +94,7 @@ def test_image_metrics_reports_exclusions():
 def run20():
     mask = letter_a_mask()
     cfg = SpeckleConfig(i0=1.0, seed=202, n=mask.n)
-    return mask, classify_units(mask), run_simulation(cfg, mask, 20_000)
+    return mask, classify_units(mask), SampleSet(cfg, mask, 20_000)
 
 
 def class_pass(samples, classes, orders, **kwargs):
@@ -149,8 +143,8 @@ def test_class_columns_match_hand_reduction(run20, pair_shift, workers):
     _, classes, samples = run20
     order = MomentOrder(-1.414, 0.5)
     (stats,) = class_pass(samples, classes, [order], pair_shift=pair_shift, workers=workers)
-    refs = np.concatenate([r for _, r, _ in samples.iter_batches(5000)])
-    buckets = np.concatenate([b for _, _, b in samples.iter_batches(5000)])
+    refs = np.concatenate([r for _, r, _ in samples.iter_batches()])
+    buckets = samples.buckets()
     bucket_pow = np.roll(buckets, -pair_shift) ** order.mu
     n = samples.n_frames
     for col, units in enumerate((classes.one_units, classes.zero_units)):
@@ -198,7 +192,7 @@ def convergence_runs():
     order = MomentOrder(1.0, 1.0)
     out = {}
     for n in (20_000, 200_000):
-        samples = run_simulation(SpeckleConfig(i0=1.0, seed=303, n=mask.n), mask, n)
+        samples = SampleSet(SpeckleConfig(i0=1.0, seed=303, n=mask.n), mask, n)
         (image,) = multi_order_pass(samples, [order])
         (stats,) = class_pass(samples, classes, [order])
         out[n] = (image, stats)
@@ -216,7 +210,7 @@ def test_empirical_visibility_converges(convergence_runs):
         s, b = stats.joint_mean
         ds, db = stats.joint_se()
         se_v[n] = 2.0 * math.sqrt((b * ds) ** 2 + (s * db) ** 2) / (s + b) ** 2
-        assert abs(empirical_visibility(image, classes) - v_true) < 5 * se_v[n]
+        assert abs(image_metrics(image, classes).v_empirical - v_true) < 5 * se_v[n]
     assert se_v[20_000] / se_v[200_000] == pytest.approx(math.sqrt(10), rel=0.10)
 
 
@@ -224,4 +218,4 @@ def test_empirical_peak_snr_magnitude(convergence_runs):
     classes, runs, _, predict = convergence_runs
     for n, (image, _) in runs.items():
         expected = predict(20, 1, 1, n).peak_snr
-        assert empirical_peak_snr(image, classes) == pytest.approx(expected, rel=0.10)
+        assert image_metrics(image, classes).rp_empirical == pytest.approx(expected, rel=0.10)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fracgi import moments
 from fracgi.moments import (
-    DEFAULT_SHARD_SIZE,
     GhostImage,
     MomentOrder,
     _Sums,
@@ -15,7 +16,7 @@ from fracgi.moments import (
     multi_order_pass,
 )
 from fracgi.objects import ObjectMask, classify_units, letter_a_mask
-from fracgi.speckle import TINY_INTENSITY, SpeckleConfig, run_simulation
+from fracgi.speckle import TINY_INTENSITY, SampleSet, SpeckleConfig
 from fracgi.theory import DomainError, moment_background, moment_signal
 
 
@@ -163,7 +164,7 @@ def test_finalize_normalization():
 def small_run():
     mask = letter_a_mask()
     cfg = SpeckleConfig(i0=1.0, seed=101, n=mask.n)
-    return mask, run_simulation(cfg, mask, 30_000)
+    return mask, SampleSet(cfg, mask, 30_000)
 
 
 @pytest.fixture(scope="module")
@@ -171,21 +172,21 @@ def wide_run():
     # n = 4096 units: 64-frame batches, where letter A gets 2048
     units = (np.random.default_rng(5).random(64 * 64) < 0.3).astype(float)
     mask = ObjectMask(width=64, height=64, units=units)
-    samples = run_simulation(SpeckleConfig(i0=1.0, seed=102, n=mask.n), mask, 2_000)
+    samples = SampleSet(SpeckleConfig(i0=1.0, seed=102, n=mask.n), mask, 2_000)
     assert samples.batch_size == 64
     return mask, samples
 
 
-def test_multi_order_matches_manual_accumulation(small_run, wide_run):
+def test_multi_order_matches_manual_accumulation(small_run, wide_run, monkeypatch):
     # nu = 0.5 takes the sqrt path of the reference powers, nu = 0.7 the
     # log-space one
     orders = [MomentOrder(mu=0.618, nu=0.5), MomentOrder(mu=-1.0, nu=0.7)]
-    # the last case pairs shifted buckets, in shards of 100 frames that
-    # split the 64-frame batches
+    # the last case pairs shifted buckets across 16 shards of two batches
     for (mask, samples), shard_size, shift in (
-        (small_run, 1024, 0), (wide_run, 1024, 0), (wide_run, 100, 37),
+        (small_run, 1024, 0), (wide_run, 1024, 0), (wide_run, 128, 37),
     ):
-        images = multi_order_pass(samples, orders, shard_size=shard_size, pair_shift=shift)
+        monkeypatch.setattr(moments, "_SHARD_SIZE", shard_size)
+        images = multi_order_pass(samples, orders, pair_shift=shift)
         # independent plain-numpy reference over all frames at once
         refs = np.concatenate([r for _, r, _ in samples.iter_batches()])
         buckets = np.roll(samples.buckets(), -shift)
@@ -230,17 +231,46 @@ def test_order_alone_matches_order_in_six_order_run(small_run, wide_run):
             assert alone.bucket2_mean == image.bucket2_mean
 
 
-def test_worker_count_bitwise_identical(small_run, wide_run):
+def test_worker_count_bitwise_identical(small_run, wide_run, monkeypatch):
     orders = [MomentOrder(mu, 0.5) for mu in (-1.414, 0.618)]
     # 30000 letter-A frames make 4 default shards; the 2000 wide frames
     # need smaller ones
-    for (_, samples), shard_size in ((small_run, DEFAULT_SHARD_SIZE), (wide_run, 500)):
-        one = multi_order_pass(samples, orders, workers=1, shard_size=shard_size)
-        four = multi_order_pass(samples, orders, workers=4, shard_size=shard_size)
+    for (_, samples), shard_size in ((small_run, moments._SHARD_SIZE), (wide_run, 512)):
+        monkeypatch.setattr(moments, "_SHARD_SIZE", shard_size)
+        one = multi_order_pass(samples, orders, workers=1)
+        four = multi_order_pass(samples, orders, workers=4)
         for a, b in zip(one, four):
             assert np.array_equal(a.g, b.g)
             assert np.array_equal(a.joint_mean, b.joint_mean)
             assert a.bucket_mean == b.bucket_mean
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pass_memory_does_not_grow_with_shard_count(monkeypatch, workers):
+    # each shard's sums are added to the total as they arrive, so a pass
+    # over 128 shards peaks about where one over 4 shards does; holding
+    # every shard's sums until the end would add 124 shards' worth. At two
+    # workers a few finished shards may wait for the merge, and the 4-shard
+    # pass may run its batches with or without overlap (4-5 MB, about 10
+    # shards' sums), hence the bound of 16
+    monkeypatch.setattr(moments, "_SHARD_SIZE", 64)
+    units = (np.random.default_rng(5).random(64 * 64) < 0.3).astype(float)
+    mask = ObjectMask(width=64, height=64, units=units)
+    orders = [MomentOrder(mu, 0.5) for mu in (-2.7183, -1.414, -0.618, 0.618, 1.414, 2.7183)]
+    shard_bytes = (2 * len(orders) + 1) * mask.n * 8  # joint, joint2 and ref sums
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n_shards in (4, 128):
+            samples = SampleSet(SpeckleConfig(i0=1.0, seed=7, n=mask.n), mask, 64 * n_shards)
+            assert samples.batch_size == 64
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            multi_order_pass(samples, orders, workers=workers)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 16 * shard_bytes
 
 
 def test_empty_orders_rejected(small_run):

@@ -105,31 +105,31 @@ def test_load_errors(tmp_path):
 
 
 def test_classify_binary():
-    classes = classify_units(make_mask([1, 0, 1, 1]), tol=0)
+    classes = classify_units(make_mask([1, 0, 1, 1]))
     assert classes.m == 3
     assert classes.fractional_units.size == 0
-    assert classes.is_binary
 
 
 def test_classify_degenerate_all_zero():
-    classes = classify_units(make_mask([0, 0]), tol=0)
+    classes = classify_units(make_mask([0, 0]))
     assert classes.m == 0
     assert classes.one_units.size == 0
 
 
 def test_classify_fractional_m_undefined():
-    classes = classify_units(make_mask([0.5, 1.0]), tol=0)
+    classes = classify_units(make_mask([0.5, 1.0]))
     assert classes.fractional_units.tolist() == [0]
     assert classes.m is None
 
 
 def test_classify_partition():
     mask = make_mask([0.0, 0.25, 0.5, 0.75, 1.0])
-    classes = classify_units(mask, tol=0.1)
+    classes = classify_units(mask)
     merged = np.concatenate(
         [classes.zero_units, classes.one_units, classes.fractional_units]
     )
     assert sorted(merged.tolist()) == list(range(5))
+    assert classes.fractional_units.tolist() == [1, 2, 3]
 
 
 # -- round trips -------------------------------------------------------------
@@ -166,7 +166,7 @@ def test_letter_a_mask():
     classes = classify_units(mask)
     assert (mask.width, mask.height) == (7, 7)
     assert classes.m == 20
-    assert classes.is_binary
+    assert classes.fractional_units.size == 0
 
 
 @pytest.mark.parametrize("m", [1, 5, 20, 33])

@@ -206,6 +206,24 @@ def test_report_malformed_json(tmp_path):
         read_report(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("orders", 5),
+    ("results", 5),
+    ("orders", "1:0.5"),
+    ("orders", [[1.0, 0.5], [1.0]]),
+    ("orders", [5, [1.0, 0.5]]),
+    ("results", [5]),
+])
+def test_report_malformed_field_is_a_schema_error(tmp_path, key, value):
+    path = tmp_path / "report.json"
+    write_report(sample_report(), path)
+    payload = json.loads(path.read_text())
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ReportSchemaError):
+        read_report(path)
+
+
 def test_mask_digest_stable():
     assert mask_digest(letter_a_mask()) == mask_digest(letter_a_mask())
     assert len(mask_digest(letter_a_mask())) == 64

@@ -5,15 +5,8 @@ import pytest
 from scipy import stats
 
 from fracgi import speckle
-from fracgi.moments import MomentOrder, multi_order_pass
 from fracgi.objects import ObjectMask, letter_a_mask
-from fracgi.speckle import (
-    TINY_INTENSITY,
-    SampleSet,
-    SpeckleConfig,
-    _intensity_block,
-    run_simulation,
-)
+from fracgi.speckle import TINY_INTENSITY, SampleSet, SpeckleConfig, _intensity_block
 from fracgi.theory import bucket_pdf_general
 
 GAMMA_3_2 = 0.886226925452758  # sqrt(pi)/2, half-integer Gamma identity
@@ -26,6 +19,13 @@ def config(n=16, i0=1.0, seed=42):
 def one_frame(cfg, j):
     """Reference intensities of frame j alone."""
     return _intensity_block(cfg, j, 1)[0]
+
+
+def windows(samples, start, stop, width):
+    """The batches of iter_batches over [start, stop) in windows of
+    ``width`` frames, each window starting mid-stream at its own frame."""
+    for lo in range(start, stop, width):
+        yield from samples.iter_batches(start=lo, stop=min(lo + width, stop))
 
 
 # -- determinism -------------------------------------------------------------
@@ -43,9 +43,9 @@ def test_frame_determinism_bitwise():
 def test_batches_match_single_frames():
     cfg = config(n=9)
     mask = ObjectMask(width=3, height=3, units=np.linspace(0, 1, 9))
-    samples = run_simulation(cfg, mask, 50)
+    samples = SampleSet(cfg, mask, 50)
     collected = {}
-    for first, refs, buckets in samples.iter_batches(batch_size=7):
+    for first, refs, buckets in windows(samples, 0, 50, 7):
         for row in range(refs.shape[0]):
             collected[first + row] = (refs[row].copy(), buckets[row])
     for j in (0, 13, 49):
@@ -55,12 +55,12 @@ def test_batches_match_single_frames():
 
 
 def test_batch_size_does_not_change_results():
+    # buckets drawn in windows of 3 frames equal those of whole batches
     cfg = config(n=5)
     mask = ObjectMask(width=5, height=1, units=np.array([1, 0, 0.5, 1, 0.0]))
-    samples = run_simulation(cfg, mask, 40)
-    b_small = samples.buckets(batch_size=3)
-    b_large = samples.buckets(batch_size=4096)
-    assert np.array_equal(b_small, b_large)
+    samples = SampleSet(cfg, mask, 40)
+    b_small = np.concatenate([b for _, _, b in windows(samples, 0, 40, 3)])
+    assert np.array_equal(b_small, samples.buckets())
 
 
 # -- distribution oracles ----------------------------------------------------
@@ -99,7 +99,7 @@ def test_all_draws_positive():
 def test_bucket_histogram_ks_against_erlang(m):
     mask = ObjectMask(width=m, height=1, units=np.ones(m))
     cfg = config(n=m, seed=21 + m)
-    samples = run_simulation(cfg, mask, 100_000)
+    samples = SampleSet(cfg, mask, 100_000)
     model = bucket_pdf_general(mask, 1.0)
     result = stats.kstest(samples.buckets(), lambda x: model.cdf(x))
     assert result.pvalue > 1e-3
@@ -108,7 +108,7 @@ def test_bucket_histogram_ks_against_erlang(m):
 def test_bucket_lag1_autocorrelation():
     mask = letter_a_mask()
     cfg = config(n=mask.n, seed=5)
-    buckets = run_simulation(cfg, mask, 100_000).buckets()
+    buckets = SampleSet(cfg, mask, 100_000).buckets()
     centered = buckets - buckets.mean()
     rho = (centered[:-1] * centered[1:]).mean() / centered.var()
     assert abs(rho) < 5.0 / math.sqrt(buckets.size)
@@ -120,7 +120,7 @@ def test_bucket_lag1_autocorrelation():
 def test_bucket_examples():
     def draw(units):
         mask = ObjectMask(width=2, height=1, units=np.array(units))
-        ((_, refs, buckets),) = run_simulation(config(n=2), mask, 5).iter_batches()
+        ((_, refs, buckets),) = SampleSet(config(n=2), mask, 5).iter_batches()
         return refs, buckets
 
     refs, b = draw([1.0, 0.0])
@@ -135,7 +135,7 @@ def test_bucket_partial_sum_bound():
     # I_B >= t_i * I_i for every unit (support constraint of the joint law)
     mask = ObjectMask(width=6, height=1, units=np.array([0.1, 0.9, 1.0, 0.0, 0.5, 0.3]))
     cfg = config(n=6, seed=9)
-    for _, refs, buckets in run_simulation(cfg, mask, 200).iter_batches():
+    for _, refs, buckets in SampleSet(cfg, mask, 200).iter_batches():
         slack = buckets[:, None] - mask.units * refs
         assert np.all(slack.min(axis=1) > -1e-12 * buckets)
 
@@ -143,7 +143,7 @@ def test_bucket_partial_sum_bound():
 def test_mean_bucket_matches_weighted_sum():
     mask = ObjectMask(width=3, height=1, units=np.array([0.2, 0.5, 1.0]))
     cfg = config(n=3, i0=2.0, seed=17)
-    buckets = run_simulation(cfg, mask, 200_000).buckets()
+    buckets = SampleSet(cfg, mask, 200_000).buckets()
     expected = 2.0 * mask.units.sum()
     se = buckets.std() / math.sqrt(buckets.size)
     assert abs(buckets.mean() - expected) < 5 * se
@@ -154,7 +154,7 @@ def test_mean_bucket_matches_weighted_sum():
 
 def test_single_frame_run():
     mask = letter_a_mask()
-    samples = run_simulation(config(n=mask.n), mask, 1)
+    samples = SampleSet(config(n=mask.n), mask, 1)
     batches = list(samples.iter_batches())
     assert len(batches) == 1
     first, refs, buckets = batches[0]
@@ -168,7 +168,7 @@ def test_single_frame_run():
 def test_batch_size_rule(n, frames):
     # the largest power of two <= 2^18 / n frames, capped at 2048, at least 1
     mask = ObjectMask(width=n, height=1, units=np.ones(n))
-    samples = run_simulation(config(n=n), mask, 2 * frames + 1)
+    samples = SampleSet(config(n=n), mask, 2 * frames + 1)
     assert samples.batch_size == frames
     assert [refs.shape[0] for _, refs, _ in samples.iter_batches()] == [frames, frames, 1]
 
@@ -176,9 +176,9 @@ def test_batch_size_rule(n, frames):
 def test_invalid_counts():
     mask = letter_a_mask()
     with pytest.raises(ValueError):
-        run_simulation(config(n=mask.n), mask, 0)
+        SampleSet(config(n=mask.n), mask, 0)
     with pytest.raises(ValueError):
-        run_simulation(config(n=3), mask, 10)  # n mismatch
+        SampleSet(config(n=3), mask, 10)  # n mismatch
     with pytest.raises(ValueError):
         SpeckleConfig(i0=0.0, seed=1, n=4)
 
@@ -198,9 +198,9 @@ def test_seed_stored_as_python_int(seed):
 
 def test_reiteration_is_identical():
     mask = letter_a_mask()
-    samples = run_simulation(config(n=mask.n, seed=8), mask, 64)
-    first = np.concatenate([b for _, _, b in samples.iter_batches(batch_size=10)])
-    second = np.concatenate([b for _, _, b in samples.iter_batches(batch_size=10)])
+    samples = SampleSet(config(n=mask.n, seed=8), mask, 64)
+    first = np.concatenate([b for _, _, b in windows(samples, 0, 64, 10)])
+    second = np.concatenate([b for _, _, b in windows(samples, 0, 64, 10)])
     assert np.array_equal(first, second)
 
 
@@ -245,11 +245,11 @@ def test_transform_within_one_ulp_of_log1p(monkeypatch):
     np.testing.assert_array_max_ulp(sampled, expected, maxulp=1)
 
 
-def batch_frames(cfg, start, count, batch_size):
+def batch_frames(cfg, start, count, width):
     mask = ObjectMask(width=cfg.n, height=1, units=np.ones(cfg.n))
-    samples = SampleSet(config=cfg, mask=mask, n_frames=start + count)
-    batches = list(samples.iter_batches(batch_size, start, start + count))
-    assert [first for first, _, _ in batches] == list(range(start, start + count, batch_size))
+    samples = SampleSet(cfg, mask, start + count)
+    batches = list(windows(samples, start, start + count, width))
+    assert [first for first, _, _ in batches] == list(range(start, start + count, width))
     return np.concatenate([refs for _, refs, _ in batches])
 
 
@@ -258,7 +258,7 @@ def batch_frames(cfg, start, count, batch_size):
 def test_frames_are_one_pcg64_stream(n, start, count):
     cfg = config(n=n, i0=1.5, seed=2**64 - 5)
     expected = stream_frames(cfg, start, count)
-    assert np.array_equal(batch_frames(cfg, start, count, batch_size=3), expected)
+    assert np.array_equal(batch_frames(cfg, start, count, width=3), expected)
     for row in range(count):
         assert np.array_equal(one_frame(cfg, start + row), expected[row])
 
@@ -273,21 +273,5 @@ def test_stream_layout_past_64bit_counter(n):
     assert start * n > 2**64
     cfg = config(n=n, seed=77)
     expected = stream_frames(cfg, start, count, jumps=jumps)
-    assert np.array_equal(batch_frames(cfg, start, count, batch_size=4), expected)
+    assert np.array_equal(batch_frames(cfg, start, count, width=4), expected)
     assert np.array_equal(one_frame(cfg, start + count - 1), expected[-1])
-
-
-def test_multi_order_pass_identical_for_uneven_shards():
-    # shard_size is not a multiple of the pass's internal batch size, so
-    # each shard draws its frames in batches that start mid-stream
-    mask = letter_a_mask()
-    samples = run_simulation(config(n=mask.n, seed=31), mask, 7_000)
-    orders = [MomentOrder(mu, 0.5) for mu in (-1.414, 0.618)]
-    one, two, three = (
-        multi_order_pass(samples, orders, workers=w, shard_size=3001) for w in (1, 2, 3)
-    )
-    for a, b, c in zip(one, two, three):
-        for field in ("g", "joint_mean", "joint2_mean", "ref_mean"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
-            assert np.array_equal(getattr(a, field), getattr(c, field))
-        assert a.bucket_mean == b.bucket_mean == c.bucket_mean

@@ -623,6 +623,15 @@ def test_moment_general_node_blocks_add_up(monkeypatch):
     assert moment_general(mask, 0, 2.5, 0.5, i0=1 / 2048) == pytest.approx(whole, rel=1e-14)
 
 
+@pytest.mark.parametrize("mu", [150.5, 250.5, 400.5])
+def test_moment_general_high_orders_on_many_units(mu):
+    # on 2000 ones the derivative recursion's h_K outgrows a double from
+    # K ~ 250 on, while the moment itself is 7e4 at mu = 250.5
+    mask = ObjectMask(width=2000, height=1, units=np.ones(2000))
+    expected = moment_signal(2000, mu, 0.5, 1 / 2000)
+    assert moment_general(mask, 0, mu, 0.5, 1 / 2000) == pytest.approx(expected, rel=1e-10)
+
+
 def test_moment_general_failures_are_typed():
     # the only exceptions are DomainError and QuadratureError, never a bare
     # OverflowError, even where the moment exceeds a double
