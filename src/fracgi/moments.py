@@ -21,6 +21,7 @@ columns these are the class statistics ``fracgi validate`` checks.
 from __future__ import annotations
 
 import functools
+import queue
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -71,14 +72,16 @@ class MomentOrder:
                           stacklevel=3)  # past the dataclass-made __init__, to the caller
 
 
-def _power(values: np.ndarray, exponent: float | np.ndarray) -> np.ndarray:
+def _power(values: np.ndarray, exponent: float | np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
     # powers of positive values (the sampler floors every intensity at
-    # TINY_INTENSITY), in one new array: nu = 0.5 is a correctly rounded
-    # sqrt, other exponents go through log space (fractional orders, wide
-    # dynamic range); overflow to inf is detected by the caller
+    # TINY_INTENSITY), written into ``out`` or else one new array: nu = 0.5
+    # is a correctly rounded sqrt, other exponents go through log space
+    # (fractional orders, wide dynamic range); overflow to inf is detected
+    # by the caller
     if np.ndim(exponent) == 0 and exponent == 0.5:
-        return np.sqrt(values)
-    out = np.log(values)
+        return np.sqrt(values, out=out)
+    out = np.log(values, out=out)
     with np.errstate(over="ignore"):
         out *= exponent
         return np.exp(out, out=out)
@@ -141,16 +144,21 @@ class _Sums:
         self.n = 0
 
     def add_batch(self, refs: np.ndarray, buckets: np.ndarray,
-                  groups: np.ndarray | None = None) -> None:
+                  groups: np.ndarray | None = None,
+                  scratch: np.ndarray | None = None) -> None:
         """Accumulate a block of frames (rows of ``refs``), all orders at once;
-        ``groups`` maps each frame's reference powers to group values."""
+        ``groups`` maps each frame's reference powers to group values. The
+        reference powers go into ``scratch`` (at least as many rows as
+        ``refs``) when given, else into a new array."""
+        if scratch is not None:
+            scratch = scratch[: refs.shape[0]]
         floored = np.maximum(buckets, TINY_INTENSITY)
         b = _power(np.broadcast_to(floored, (len(self.orders), buckets.size)), self.mus)
         # an overflow here is detected below and raised as DomainError
         with np.errstate(over="ignore", invalid="ignore"):
             b2 = b * b
             for j, nu in enumerate(self.nus):
-                r = _power(refs, nu)
+                r = _power(refs, nu, scratch)
                 if groups is not None:
                     r = r @ groups
                 self.ref[j] += r.sum(axis=0)
@@ -246,17 +254,29 @@ def multi_order_pass(
     if pair_shift % samples.n_frames != 0:
         shifted = np.roll(samples.buckets(), -(pair_shift % samples.n_frames))
 
+    # one reference block and one power scratch per worker, reused by every
+    # batch of its shards: a batch-sized array freed per batch goes back to
+    # the kernel and is faulted in again by the next batch
+    starts = range(0, samples.n_frames, _SHARD_SIZE)
+    shape = (min(samples.batch_size, samples.n_frames), samples.config.n)
+    buffers = queue.SimpleQueue()
+    for _ in range(min(workers, len(starts))):
+        buffers.put((np.empty(shape), np.empty(shape)))
+
     def process(start: int) -> _Sums:
         sums = _Sums(orders, width * height)
         stop = min(start + _SHARD_SIZE, samples.n_frames)
-        for first, refs, buckets in samples.iter_batches(start=start, stop=stop):
-            if shifted is not None:
-                buckets = shifted[first : first + buckets.size]
-            sums.add_batch(refs, buckets, groups)
+        block, scratch = buffers.get()
+        try:
+            for first, refs, buckets in samples.iter_batches(start=start, stop=stop, out=block):
+                if shifted is not None:
+                    buckets = shifted[first : first + buckets.size]
+                sums.add_batch(refs, buckets, groups, scratch)
+        finally:
+            buffers.put((block, scratch))
         return sums
 
     # the first shard's sums are the total; both maps yield lazily, in order
-    starts = range(0, samples.n_frames, _SHARD_SIZE)
     if workers == 1:
         total = functools.reduce(_Sums.merge, map(process, starts))
     else:

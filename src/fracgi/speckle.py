@@ -61,7 +61,8 @@ class SpeckleConfig:
         object.__setattr__(self, "seed", operator.index(self.seed))
 
 
-def _intensity_block(config: SpeckleConfig, start: int, count: int) -> np.ndarray:
+def _intensity_block(config: SpeckleConfig, start: int, count: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Reference intensities of frames [start, start + count), one row each.
 
     Frame j takes the doubles at stream positions [j*n, (j+1)*n), one
@@ -69,15 +70,17 @@ def _intensity_block(config: SpeckleConfig, start: int, count: int) -> np.ndarra
     (a 128-bit jump) and reads count*n doubles in one call. Exponential
     sampling by inverse CDF, -i0*log(1-u) with u in [0, 1) on the 2^-53
     grid, so 1-u is exact and stays in (0, 1]; exact zeros and underflows
-    clamp to the smallest positive normal intensity. The transform runs
-    in place: a batch holds one array of its size.
+    clamp to the smallest positive normal intensity. The draw and the
+    transform run in place, in ``out[:count]`` when a buffer of at least
+    count rows is given, else in a new array.
     """
     bitgen = PCG64(config.seed).advance(start * config.n)
-    out = Generator(bitgen).random((count, config.n))
-    np.subtract(1.0, out, out=out)
-    np.log(out, out=out)
-    out *= -config.i0
-    return np.maximum(out, TINY_INTENSITY, out=out)
+    block = np.empty((count, config.n)) if out is None else out[:count]
+    Generator(bitgen).random(out=block)
+    np.subtract(1.0, block, out=block)
+    np.log(block, out=block)
+    block *= -config.i0
+    return np.maximum(block, TINY_INTENSITY, out=block)
 
 
 @dataclass(frozen=True)
@@ -110,26 +113,31 @@ class SampleSet:
         return min(1 << (fit.bit_length() - 1), _MAX_BATCH_FRAMES)
 
     def iter_batches(
-        self, start: int = 0, stop: int | None = None
+        self, start: int = 0, stop: int | None = None, out: np.ndarray | None = None
     ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """Yield (first_index, reference_block, bucket_vector) batches of
         ``self.batch_size`` frames over frames [start, stop).
 
         Each bucket is one row reduction of its frame, which does not
         depend on how many rows the batch holds (a BLAS mat-vec may).
+        Every block is a new array unless ``out`` is given: then each one
+        is a view of ``out`` (at least ``batch_size`` rows, or stop - start
+        if fewer), overwritten by the next batch, which spares a
+        batch-sized allocation per batch.
         """
         batch_size = self.batch_size
         stop = self.n_frames if stop is None else stop
         weights = self.mask.units
         for first in range(start, stop, batch_size):
             count = min(batch_size, stop - first)
-            refs = _intensity_block(self.config, first, count)
+            refs = _intensity_block(self.config, first, count, out)
             buckets = np.einsum("fp,p->f", refs, weights)
             yield first, refs, buckets
 
     def buckets(self) -> np.ndarray:
         """All N bucket values in frame order."""
         out = np.empty(self.n_frames)
-        for first, refs, buckets in self.iter_batches():
+        block = np.empty((min(self.batch_size, self.n_frames), self.config.n))
+        for first, _, buckets in self.iter_batches(out=block):
             out[first : first + buckets.size] = buckets
         return out

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fracgi import moments
+from fracgi import metrics, moments, speckle
 from fracgi.moments import (
     GhostImage,
     MomentOrder,
@@ -243,6 +244,54 @@ def test_worker_count_bitwise_identical(small_run, wide_run, monkeypatch):
             assert np.array_equal(a.g, b.g)
             assert np.array_equal(a.joint_mean, b.joint_mean)
             assert a.bucket_mean == b.bucket_mean
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pass_reuses_one_buffer_per_worker(monkeypatch, workers):
+    # every batch of a multi-shard pass draws into one of at most `workers`
+    # buffers, and the images equal sums over fresh per-batch arrays bit for
+    # bit: nu = 0.5 (sqrt), nu = 0.7 (log space) and a grouped pass
+    drawn_into = []
+    real_block = speckle._intensity_block
+
+    def recording_block(config, start, count, out=None):
+        drawn_into.append(out)
+        return real_block(config, start, count, out)
+
+    monkeypatch.setattr(speckle, "_intensity_block", recording_block)
+    letter = letter_a_mask()
+    units = (np.random.default_rng(5).random(64 * 64) < 0.3).astype(float)
+    wide = ObjectMask(width=64, height=64, units=units)
+    orders = [MomentOrder(0.618, 0.5), MomentOrder(-1.414, 0.5), MomentOrder(0.618, 0.7)]
+    groups = metrics.class_average_matrix(classify_units(letter))
+    for mask, n_frames, shard_size, pass_groups in (
+        (letter, 6 * 2048 + 77, 2048, None),
+        (letter, 6 * 2048 + 77, 2048, groups),
+        (wide, 5 * 128 - 3, 128, None),
+    ):
+        samples = SampleSet(SpeckleConfig(i0=1.0, seed=11, n=mask.n), mask, n_frames)
+        monkeypatch.setattr(moments, "_SHARD_SIZE", shard_size)
+        drawn_into.clear()
+        images = multi_order_pass(samples, orders, workers=workers, groups=pass_groups)
+        assert len(drawn_into) == -(-n_frames // samples.batch_size)
+        assert all(out is not None for out in drawn_into)
+        assert len({id(out) for out in drawn_into}) <= workers
+        # reference: each shard's sums from fresh batches, merged in order
+        drawn_into.clear()
+        shards = []
+        for start in range(0, n_frames, shard_size):
+            sums = _Sums(orders, images[0].g.size)
+            for _, refs, buckets in samples.iter_batches(start, min(start + shard_size, n_frames)):
+                sums.add_batch(refs, buckets, pass_groups)
+            shards.append(sums)
+        assert all(out is None for out in drawn_into)
+        width, height = images[0].width, images[0].height
+        expected = functools.reduce(_Sums.merge, shards).finalize(width, height)
+        for image, reference in zip(images, expected, strict=True):
+            for field in ("g", "joint_mean", "joint2_mean", "ref_mean"):
+                assert np.array_equal(getattr(image, field), getattr(reference, field))
+            assert image.bucket_mean == reference.bucket_mean
+            assert image.bucket2_mean == reference.bucket2_mean
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -204,6 +204,27 @@ def test_reiteration_is_identical():
     assert np.array_equal(first, second)
 
 
+@pytest.mark.parametrize("n,n_frames", [(49, 2 * 2048 + 5), (4096, 3 * 64 + 1), (7, 3)])
+def test_buffered_batches_match_fresh_ones(n, n_frames):
+    # the short last batch included; stop - start < batch_size needs only
+    # that many rows of buffer
+    units = np.random.default_rng(n).random(n)
+    samples = SampleSet(config(n=n, seed=4), ObjectMask(width=n, height=1, units=units), n_frames)
+    buf = np.empty((min(samples.batch_size, n_frames), n))
+    fresh = list(samples.iter_batches())
+    assert len(fresh) == -(-n_frames // samples.batch_size)
+    for (first, refs, buckets), (first_b, refs_b, buckets_b) in zip(
+        fresh, samples.iter_batches(out=buf), strict=True
+    ):
+        assert first == first_b
+        assert np.array_equal(refs, refs_b) and np.array_equal(buckets, buckets_b)
+        assert np.shares_memory(refs_b, buf)
+    # fresh blocks are independent arrays, so a list of them stays valid
+    for i, (_, refs, _) in enumerate(fresh):
+        assert not any(np.shares_memory(refs, other) for _, other, _ in fresh[i + 1 :])
+    assert np.array_equal(samples.buckets(), np.concatenate([b for _, _, b in fresh]))
+
+
 # -- stream layout -----------------------------------------------------------
 
 
@@ -223,7 +244,8 @@ def stream_frames(cfg, start, count, jumps=()):
 
 def test_transform_within_one_ulp_of_log1p(monkeypatch):
     # log1p(-u) is an independent oracle for the sampler's -i0*log(1-u):
-    # 10^6 draws, with the edges u = 0 and u = 1 - 2^-53 put into the stream
+    # 10^6 draws, with the edges u = 0 and u = 1 - 2^-53 put into the stream,
+    # into a new array and into a larger reused buffer
     edges = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
     real_generator = np.random.Generator
 
@@ -231,18 +253,21 @@ def test_transform_within_one_ulp_of_log1p(monkeypatch):
         def __init__(self, bitgen):
             self.generator = real_generator(bitgen)
 
-        def random(self, shape):
-            u = self.generator.random(shape)
+        def random(self, size=None, out=None):
+            u = self.generator.random(size, out=out)
             u.flat[: edges.size] = edges
             return u
 
     cfg = config(n=1000, i0=1.5, seed=9)
     u = EdgedGenerator(np.random.PCG64(cfg.seed)).random((1000, cfg.n))
-    monkeypatch.setattr(speckle, "Generator", EdgedGenerator)
-    sampled = _intensity_block(cfg, 0, 1000)
     expected = np.maximum(-cfg.i0 * np.log1p(-u), TINY_INTENSITY)
-    assert sampled.flat[0] == TINY_INTENSITY
-    np.testing.assert_array_max_ulp(sampled, expected, maxulp=1)
+    monkeypatch.setattr(speckle, "Generator", EdgedGenerator)
+    buf = np.full((1024, cfg.n), np.nan)
+    for sampled in (_intensity_block(cfg, 0, 1000), _intensity_block(cfg, 0, 1000, buf)):
+        assert sampled.shape == expected.shape
+        assert sampled.flat[0] == TINY_INTENSITY
+        np.testing.assert_array_max_ulp(sampled, expected, maxulp=1)
+    assert np.shares_memory(sampled, buf) and np.isnan(buf[1000:]).all()
 
 
 def batch_frames(cfg, start, count, width):
