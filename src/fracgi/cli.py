@@ -188,16 +188,18 @@ def cmd_sweep(args) -> int:
     if not mu_values or not nu_values:
         raise UsageError("sweep grid is empty")
 
-    mu_grid, nu_grid = (g.ravel() for g in np.meshgrid(mu_values, nu_values, indexing="ij"))
+    # a mu column against a nu row: each m+mu and m+nu is evaluated once
+    mu_col, nu_row = np.array(mu_values)[:, None], np.array(nu_values)
+    mu_grid, nu_grid = (g.ravel().tolist() for g in np.broadcast_arrays(mu_col, nu_row))
     rows = []
     for m in m_values:
-        moment_ok = theory.exists("moment", m, mu_grid, nu_grid)
-        variance_ok = moment_ok & theory.exists("signal variance", m, mu_grid, nu_grid)
-        v, rp = np.full(mu_grid.size, None), np.full(mu_grid.size, None)
-        v[moment_ok] = theory.visibility(m, mu_grid[moment_ok], nu_grid[moment_ok])
-        rp[variance_ok] = theory.peak_snr_per_sqrt_n(m, mu_grid[variance_ok], nu_grid[variance_ok])
-        rows += zip([m] * mu_grid.size, mu_grid.tolist(), nu_grid.tolist(), v, rp,
-                    moment_ok, variance_ok)
+        moment_ok = theory.exists("moment", m, mu_col, nu_row)
+        variance_ok = moment_ok & theory.exists("signal variance", m, mu_col, nu_row)
+        v, rp = np.full(moment_ok.shape, None), np.full(moment_ok.shape, None)
+        _, _, v[moment_ok], rp[variance_ok] = theory._closed_forms(
+            m, mu_col, nu_row, variance=variance_ok, cells=moment_ok)
+        rows += zip([m] * v.size, mu_grid, nu_grid, v.ravel(), rp.ravel(),
+                    moment_ok.ravel(), variance_ok.ravel())
     reports.write_sweep_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK

@@ -72,14 +72,14 @@ class MomentOrder:
                           stacklevel=3)  # past the dataclass-made __init__, to the caller
 
 
-def _power(values: np.ndarray, exponent: float | np.ndarray,
+def _power(values: np.ndarray, exponent: float,
            out: np.ndarray | None = None) -> np.ndarray:
     # powers of positive values (the sampler floors every intensity at
     # TINY_INTENSITY), written into ``out`` or else one new array: nu = 0.5
     # is a correctly rounded sqrt, other exponents go through log space
     # (fractional orders, wide dynamic range); overflow to inf is detected
     # by the caller
-    if np.ndim(exponent) == 0 and exponent == 0.5:
+    if exponent == 0.5:
         return np.sqrt(values, out=out)
     out = np.log(values, out=out)
     with np.errstate(over="ignore"):
@@ -152,10 +152,11 @@ class _Sums:
         ``refs``) when given, else into a new array."""
         if scratch is not None:
             scratch = scratch[: refs.shape[0]]
-        floored = np.maximum(buckets, TINY_INTENSITY)
-        b = _power(np.broadcast_to(floored, (len(self.orders), buckets.size)), self.mus)
+        log_b = np.log(np.maximum(buckets, TINY_INTENSITY))  # one log for every mu
         # an overflow here is detected below and raised as DomainError
         with np.errstate(over="ignore", invalid="ignore"):
+            b = log_b * self.mus
+            np.exp(b, out=b)
             b2 = b * b
             for j, nu in enumerate(self.nus):
                 r = _power(refs, nu, scratch)

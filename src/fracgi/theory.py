@@ -18,7 +18,12 @@ of the other units times the pixel's exponential. General moments are one
 trapezoidal sum over the joint bucket/reference Laplace transform.
 
 Everything is evaluated in log space with one final exponentiation; the
-Gamma ratios overflow doubles long before the results do.
+Gamma ratios overflow doubles long before the results do. One private
+evaluator gives all four binary closed forms from the eight distinct
+log-Gammas of an order pair, or of a grid of them, where it evaluates
+each distinct argument once and none outside the existence domain.
+``predict``, the four public closed forms and ``fracgi sweep`` all call
+it, so their values agree bit for bit.
 """
 
 from __future__ import annotations
@@ -88,19 +93,33 @@ EXISTENCE = (
 
 
 def exists(rule: str, m, mu, nu):
-    """Whether every quantity of ``rule`` is > 0; elementwise over arrays."""
-    return np.logical_and.reduce([f(m, mu, nu) > 0 for r, _, f in EXISTENCE if r == rule])
+    """Whether every quantity of ``rule`` is > 0; elementwise over
+    broadcasting arrays."""
+    ok = True
+    for r, _, f in EXISTENCE:
+        if r == rule:
+            ok = ok & (f(m, mu, nu) > 0)
+    return ok
 
 
 def violations(rule: str, m, mu, nu) -> list[str]:
     """The quantities of ``rule`` that are not > 0, as reasons
     "q = value <= 0"; over arrays, with the least value of q."""
-    values = [(q, f(m, mu, nu)) for r, q, f in EXISTENCE if r == rule]
-    return [f"{q} = {np.min(v):g} <= 0" for q, v in values if not np.all(v > 0)]
+    reasons = []
+    for r, q, f in EXISTENCE:
+        if r != rule:
+            continue
+        v = f(m, mu, nu)
+        if isinstance(v, np.ndarray):
+            if not np.all(v > 0):
+                reasons.append(f"{q} = {np.min(v):g} <= 0")
+        elif not v > 0:
+            reasons.append(f"{q} = {v:g} <= 0")
+    return reasons
 
 
 def _check(condition, reason: str) -> None:
-    if not np.all(condition):
+    if not (condition.all() if isinstance(condition, np.ndarray) else condition):
         raise DomainError(reason)
 
 
@@ -109,9 +128,74 @@ def _require(rule: str, m, mu, nu) -> None:
     _check(not reasons, "; ".join(reasons))
 
 
-def _log_moment(m, mu, nu, t):
-    """log <I_B^mu I_i^nu> at a pixel of transmittance t in {0, 1}, I0 = 1."""
-    return np.asarray(_lgamma(m + mu + t * nu) + _lgamma(1 + nu) - _lgamma(m + t * nu), float)
+def _lgamma_at(x, cells):
+    """log Gamma of x: of a scalar x when ``cells`` is None, else at the
+    true cells of the mask ``cells``, which x broadcasts to, as one flat
+    array in C order. Each element of x is evaluated once, and only if a
+    true cell uses it."""
+    if cells is None:
+        return _lgamma(x)
+    x = np.asarray(x, dtype=float)
+    x = x.reshape((1,) * (cells.ndim - x.ndim) + x.shape)
+    spread = tuple(i for i, n in enumerate(x.shape) if n == 1 < cells.shape[i])
+    used = cells.any(axis=spread, keepdims=True)
+    out = np.zeros(x.shape)
+    out[used] = _lgamma(x[used])
+    return np.broadcast_to(out, cells.shape)[cells]
+
+
+def _closed_forms(m, mu, nu, i0=1.0, variance=False, cells=None):
+    """(moment_background, moment_signal, visibility, R_p/sqrt(N)) of a
+    binary mask at orders whose moments exist; R_p/sqrt(N) is None when
+    ``variance`` is False, and otherwise needs the signal variance to exist.
+
+    Scalar orders (``cells`` None, ``variance`` a bool) give scalars. Array
+    orders are evaluated at the true cells of ``cells``, a mask of their
+    broadcast shape, and R_p/sqrt(N) at those of the mask ``variance``,
+    inside ``cells``; each result is flat over its cells in C order.
+
+    Each distinct log-Gamma argument is evaluated once. With a = lgG(m+mu+nu),
+    b = lgG(m+mu), c = lgG(m+nu), d = lgG(m) and e = lgG(1+nu), the moments
+    are exp((a+e)-c) and exp((b+e)-d) times I0^(mu+nu), and V = |tanh(D/2)|,
+    D = (a-b)-(c-d) the log of their ratio: two differences that each
+    cancel exactly at nu = 0, where V = 0, so no Gamma product materializes.
+    """
+    a, b = _lgamma_at(m + mu + nu, cells), _lgamma_at(m + mu, cells)
+    c, d, e = _lgamma_at(m + nu, cells), _lgamma_at(m, cells), _lgamma_at(1 + nu, cells)
+    ln_sig, ln_bg = (a + e) - c, (b + e) - d
+    order = mu + nu if cells is None else np.broadcast_to(mu + nu, cells.shape)[cells]
+    ln_i0 = order * math.log(i0)
+    v = np.abs(np.tanh(0.5 * ((a - b) - (c - d))))
+    out = [np.exp(ln_bg + ln_i0), np.exp(ln_sig + ln_i0), v, None]
+    if variance is False:
+        return out
+    if cells is not None:
+        ln_sig, ln_bg = ln_sig[variance[cells]], ln_bg[variance[cells]]
+        cells = variance
+    hi = np.maximum(ln_sig, ln_bg)
+    lo = np.minimum(ln_sig, ln_bg)
+    with np.errstate(divide="ignore"):  # nu = 0: equal moments, contrast 0
+        ln_contrast = hi + np.log1p(-np.exp(lo - hi))
+    # noise: order-doubled signal moment minus squared signal moment
+    ln_second = (_lgamma_at(m + 2 * mu + 2 * nu, cells) + _lgamma_at(1 + 2 * nu, cells)
+                 - _lgamma_at(m + 2 * nu, cells))
+    ln_square = 2.0 * ln_sig
+    _check(ln_second > ln_square, "degenerate variance (second moment <= square)")
+    ln_var = ln_second + np.log1p(-np.exp(ln_square - ln_second))
+    out[3] = np.exp(ln_contrast - 0.5 * ln_var)
+    return out
+
+
+def _evaluate(m, mu, nu, i0=1.0, variance=False):
+    """_closed_forms at validated orders: floats for scalar orders, else
+    arrays of the orders' broadcast shape."""
+    if np.ndim(mu) == np.ndim(nu) == 0:
+        out = _closed_forms(m, float(mu), float(nu), i0, variance)
+        return [None if x is None else float(x) for x in out]
+    mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
+    cells = np.ones(np.broadcast_shapes(mu.shape, nu.shape), dtype=bool)
+    out = _closed_forms(m, mu, nu, i0, variance and cells, cells)
+    return [None if x is None else x.reshape(cells.shape) for x in out]
 
 
 def _binary_moment(m: int, mu, nu, i0: float, t: int):
@@ -119,8 +203,7 @@ def _binary_moment(m: int, mu, nu, i0: float, t: int):
     _check(m >= 1, "m >= 1 required")
     _require("moment", m, mu, nu)
     _check(0 < i0 < math.inf, "i0 must be positive and finite")
-    out = np.exp(_log_moment(m, mu, nu, t) + (mu + nu) * math.log(i0))
-    return float(out) if out.ndim == 0 else out
+    return _evaluate(m, mu, nu, i0)[t]  # t = 0 is the background, t = 1 the signal
 
 
 def moment_background(m: int, mu, nu, i0: float = 1.0):
@@ -134,18 +217,11 @@ def moment_signal(m: int, mu, nu, i0: float = 1.0):
 
 
 def visibility(m: int, mu, nu):
-    """Image visibility |signal-background| / (signal+background).
-
-    Stable form: with d = log of the signal/background moment ratio,
-    V = |tanh(d/2)|, so the Gamma products never materialize. d is grouped
-    as two differences that each cancel exactly at nu = 0, where V = 0.
-    """
+    """Image visibility |signal-background| / (signal+background)."""
     mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
     _check(m >= 2, "m >= 2 required")
     _require("moment", m, mu, nu)
-    d = (_lgamma(m + mu + nu) - _lgamma(m + mu)) - (_lgamma(m + nu) - _lgamma(m))
-    out = np.abs(np.tanh(0.5 * np.asarray(d, float)))
-    return float(out) if out.ndim == 0 else out
+    return _evaluate(m, mu, nu)[2]
 
 
 def peak_snr_per_sqrt_n(m: int, mu, nu):
@@ -154,18 +230,7 @@ def peak_snr_per_sqrt_n(m: int, mu, nu):
     _check(m >= 2, "m >= 2 required")
     _require("moment", m, mu, nu)
     _require("signal variance", m, mu, nu)
-    ln_sig, ln_bg = _log_moment(m, mu, nu, 1), _log_moment(m, mu, nu, 0)
-    hi = np.maximum(ln_sig, ln_bg)
-    lo = np.minimum(ln_sig, ln_bg)
-    with np.errstate(divide="ignore"):  # nu = 0: equal moments, contrast 0
-        ln_contrast = hi + np.log1p(-np.exp(lo - hi))
-    # noise: order-doubled signal moment minus squared signal moment
-    ln_second = _log_moment(m, 2 * mu, 2 * nu, 1)
-    ln_square = 2.0 * ln_sig
-    _check(ln_second > ln_square, "degenerate variance (second moment <= square)")
-    ln_var = ln_second + np.log1p(-np.exp(ln_square - ln_second))
-    out = np.exp(ln_contrast - 0.5 * ln_var)
-    return float(out) if out.ndim == 0 else out
+    return _evaluate(m, mu, nu, variance=True)[3]
 
 
 @dataclass(frozen=True)
@@ -225,19 +290,19 @@ def predict(
     estimator variance diverges."""
     _check(n_samples >= 1, "n_samples >= 1 required")
     flags = require_moment(m, mu, nu)
-    rp = rp_rel = None
-    if flags.variance_finite:
-        rp_rel = peak_snr_per_sqrt_n(m, mu, nu)
-        rp = math.sqrt(n_samples) * rp_rel
+    _check(m >= 2, "m >= 2 required")
+    _check(0 < i0 < math.inf, "i0 must be positive and finite")
+    background, signal, v, rp_rel = _evaluate(m, mu, nu, i0, flags.variance_finite)
+    rp = None if rp_rel is None else math.sqrt(n_samples) * rp_rel
     return AnalyticPrediction(
         m=m,
         mu=mu,
         nu=nu,
         i0=i0,
         n_samples=n_samples,
-        moment_background=moment_background(m, mu, nu, i0),
-        moment_signal=moment_signal(m, mu, nu, i0),
-        visibility=visibility(m, mu, nu),
+        moment_background=background,
+        moment_signal=signal,
+        visibility=v,
         peak_snr=rp,
         rp_per_sqrt_n=rp_rel,
         moment_finite=flags.moment_finite,

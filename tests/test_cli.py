@@ -268,6 +268,21 @@ def test_sweep_matches_scalar_closed_forms(tmp_path, capsys):
     assert seen == {(True, True), (True, False), (False, False)}
 
 
+def test_sweep_takes_each_log_gamma_once_per_argument(tmp_path, capsys, lgamma_args):
+    # a mu column against a nu row: per m, the 1800 cells of m+mu+nu and of
+    # m+2mu+2nu, plus 60 m+mu, 4 x 30 nu-only arguments and m itself
+    code, _, _ = run(capsys, "sweep", "--m", "20,30", "--mu=-3:3:0.1", "--nu", "0.1:3:0.1",
+                     "--out", str(tmp_path / "s.csv"))
+    assert code == 0
+    assert len(lgamma_args) <= 2 * 4000
+    # cells where a moment or its variance does not exist never reach log Gamma
+    lgamma_args.clear()
+    code, _, _ = run(capsys, "sweep", "--m", "2,20", "--mu=-3:3:0.1", "--nu=-1:3:0.1",
+                     "--out", str(tmp_path / "invalid.csv"))
+    assert code == 0
+    assert lgamma_args and min(lgamma_args) > 0
+
+
 def test_sweep_through_nu_zero_warns_nothing(tmp_path, capsys):
     # at nu = 0 the signal and background moments are equal: V and the peak
     # SNR are exactly 0, with no divide-by-zero warning on the way

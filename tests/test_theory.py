@@ -181,6 +181,48 @@ def test_predict_variance_divergent_keeps_moments():
     assert pred.visibility > 0
 
 
+@pytest.mark.parametrize("i0", [1.0, 0.7])
+@pytest.mark.parametrize("mu, nu", [(-2.7183, 0.5), (-1.414, 1.3), (0.618, 0.5), (2.7183, 2.0),
+                                    (1.0, -0.55)])
+def test_predict_fields_equal_the_public_closed_forms(mu, nu, i0):
+    # one evaluator serves them all: scalar and array calls give the same bits
+    pred = predict(20, mu, nu, 120000, i0)
+    fields = [(pred.moment_background, lambda mu: moment_background(20, mu, nu, i0)),
+              (pred.moment_signal, lambda mu: moment_signal(20, mu, nu, i0)),
+              (pred.visibility, lambda mu: visibility(20, mu, nu))]
+    if nu > -0.5:
+        fields.append((pred.rp_per_sqrt_n, lambda mu: peak_snr_per_sqrt_n(20, mu, nu)))
+        assert pred.peak_snr == math.sqrt(120000) * pred.rp_per_sqrt_n
+    else:  # 1+2*nu <= 0: the estimator variance does not exist
+        assert pred.rp_per_sqrt_n is None and pred.peak_snr is None
+    for value, closed_form in fields:
+        assert type(value) is float
+        assert value == closed_form(mu)
+        assert value == closed_form(np.array([0.5, mu]))[1]
+
+
+@pytest.mark.parametrize("args, message", [
+    ((20, 1.0, 1.0, 0, 1.0), "n_samples >= 1 required"),
+    ((20, 1.0, 1.0, 1000, 0.0), "i0 must be positive and finite"),
+    ((20, 1.0, 1.0, 1000, math.inf), "i0 must be positive and finite"),
+    ((1, 1.0, 1.0, 1000, 1.0), "m >= 2 required"),
+    ((1, 1.0, -0.55, 1000, 1.0), "m >= 2 required"),
+    ((2, -2.2, 0.1, 1000, 1.0),
+     "orders mu=-2.2, nu=0.1: m+mu+nu = -0.1 <= 0; m+mu = -0.2 <= 0; m+2*mu+2*nu = -2.2 <= 0"),
+    ((20, 1.0, -1.2, 1000, 1.0), "orders mu=1, nu=-1.2: 1+nu = -0.2 <= 0; 1+2*nu = -1.4 <= 0"),
+])
+def test_predict_refusals_keep_their_messages(args, message):
+    with pytest.raises(DomainError) as err:
+        predict(*args)
+    assert str(err.value) == message
+
+
+def test_predict_takes_each_log_gamma_once(lgamma_args):
+    # m+mu+nu, m+mu, m+nu, m, 1+nu and, for the variance, m+2mu+2nu, 1+2nu, m+2nu
+    predict(20, -1.414, 0.5, 120000, 0.7)
+    assert len(lgamma_args) == len(set(lgamma_args)) == 8
+
+
 # -- validity domain ---------------------------------------------------------
 
 
