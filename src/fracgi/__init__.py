@@ -20,7 +20,6 @@ from .objects import (
     classify_units,
     letter_a_mask,
     load_object,
-    save_object_csv,
 )
 from .speckle import SampleSet, SpeckleConfig
 from .theory import (
@@ -29,13 +28,9 @@ from .theory import (
     GammaMixtureModel,
     bucket_pdf_general,
     joint_pdf_binary,
-    moment_background,
     moment_general,
-    moment_signal,
-    peak_snr_per_sqrt_n,
     predict,
     validity_domain,
-    visibility,
 )
 
 __version__ = "0.1.0"

@@ -30,6 +30,9 @@ WORKERS_ENV = "FRACGI_WORKERS"
 # the six-order reconstruction grid used by the validation command
 DEFAULT_ORDERS = "-2.7183:0.5,-1.414:0.5,-0.618:0.5,0.618:0.5,1.414:0.5,2.7183:0.5"
 
+# most values one sweep range may take
+_MAX_RANGE_VALUES = 1 << 20
+
 
 class UsageError(ValueError):
     pass
@@ -89,10 +92,15 @@ def _parse_range(text: str, flag: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"{flag} has non-numeric parts: {text!r}")
+    if not np.isfinite((lo, hi, step)).all():
+        raise UsageError(f"{flag} has non-finite parts: {text!r}")
     if step <= 0:
         raise UsageError(f"{flag} step must be positive, got {step:g}")
     if hi < lo:
         raise UsageError(f"{flag} range is empty ({lo:g} > {hi:g})")
+    # refused before the list is built; an inf quotient is refused too
+    if not (hi - lo) / step <= _MAX_RANGE_VALUES - 1:
+        raise UsageError(f"{flag} has more than {_MAX_RANGE_VALUES} values: {text!r}")
     count = int(round((hi - lo) / step))
     values = [round(lo + k * step, 12) for k in range(count + 1)]
     return [v for v in values if v <= hi + 1e-12]
@@ -115,10 +123,10 @@ def cmd_simulate(args) -> int:
     flags = [theory.require_moment(mask, o.mu, o.nu) for o in orders]
     if args.n_samples < 2:
         raise UsageError("--n-samples must be at least 2")
+    config = speckle.SpeckleConfig(i0=args.i0, seed=args.seed, n=mask.n)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = speckle.SpeckleConfig(i0=args.i0, seed=args.seed, n=mask.n)
     samples = speckle.SampleSet(config=config, mask=mask, n_frames=args.n_samples)
     images = moments.multi_order_pass(samples, orders, workers=args.workers)
 
@@ -227,6 +235,7 @@ def cmd_validate(args) -> int:
                                       pair_shift=int(args.null_pairing), groups=groups)
     failed = skipped = 0
     for order, image in zip(orders, images):
+        background, signal, _, _ = theory._closed_forms(args.m, order.mu, order.nu, args.i0)
         for col, label in enumerate(metrics.CLASS_COLUMNS):
             row = f"mu={order.mu:g} nu={order.nu:g} {label}"
             # null pairing makes every reference independent of its bucket
@@ -241,8 +250,7 @@ def cmd_validate(args) -> int:
                 ok = abs(g - 1.0) < 5.0 * se
                 detail = f"|g-1|={abs(g - 1):.3e} < 5*SE={5 * se:.3e}"
             else:
-                moment = theory.moment_signal if label == "signal" else theory.moment_background
-                target = moment(args.m, order.mu, order.nu, args.i0)
+                target = signal if label == "signal" else background
                 got, se = image.joint_mean[col], image.joint_se()[col]
                 ok = abs(got - target) <= 5.0 * se
                 detail = (

@@ -11,7 +11,8 @@ mat-vecs b @ R and b^2 @ R^2, b its bucket powers. One stacked product per nu
 would be a GEMM, but then an order's bits would depend on how many orders
 share its nu. Frames are sharded in fixed 8192-frame ranges and each shard's
 sums are added to the total in shard-index order as they arrive, so results
-do not depend on the worker count and memory does not grow with N.
+do not depend on the worker count. Memory does not grow with N, except
+under a pair shift, which holds a rolled copy of all N bucket values.
 
 Given a unit-to-group matrix P, the pass reduces per-frame group values
 y_f = I_B^mu * sum_i P[i, c] I_i^nu instead of pixels; with class-averaging
@@ -235,9 +236,11 @@ def multi_order_pass(
     identical for any worker count and memory does not grow with N.
     ``pair_shift`` pairs the reference of frame j with the bucket of frame
     (j + shift) mod N, which destroys the bucket-reference correlation
-    (decorrelation null runs). ``groups`` (n_units x k) maps each frame's
-    reference powers to k group values before accumulation; the images are
-    then k x 1, one pixel per group column.
+    (decorrelation null runs); it draws all N bucket values and holds an
+    ``np.roll`` copy of them, 8 bytes per frame, 16 while it rolls.
+    ``groups`` (n_units x k) maps each frame's reference powers to k group
+    values before accumulation; the images are then k x 1, one pixel per
+    group column.
     """
     if not orders:
         raise ValueError("at least one order pair is required")

@@ -17,7 +17,6 @@ __all__ = [
     "ObjectMask",
     "UnitClasses",
     "load_object",
-    "save_object_csv",
     "mask_csv_text",
     "classify_units",
     "letter_a_mask",
@@ -188,11 +187,6 @@ def _parse_csv(raw: bytes, path: Path) -> tuple[int, int, np.ndarray]:
 def mask_csv_text(mask: ObjectMask) -> str:
     """The mask as CSV text with full decimal precision (exact round-trip)."""
     return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in mask.grid())
-
-
-def save_object_csv(mask: ObjectMask, path) -> None:
-    """Write the mask as CSV with full decimal precision (exact round-trip)."""
-    Path(path).write_text(mask_csv_text(mask), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ _REQUIRED_KEYS = (
 
 
 def mask_digest(mask: ObjectMask) -> str:
-    """Stable content digest of a mask: sha256 of the CSV that save_object_csv writes."""
+    """Stable content digest of a mask: sha256 of its ``mask_csv_text``."""
     return hashlib.sha256(mask_csv_text(mask).encode("utf-8")).hexdigest()
 
 

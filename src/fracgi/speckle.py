@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 from numpy.random import PCG64, Generator  # eager: numpy loads numpy.random lazily
 
-from .objects import ObjectMask
+from .objects import DomainError, ObjectMask
 
 __all__ = [
     "TINY_INTENSITY",
@@ -52,7 +52,7 @@ class SpeckleConfig:
 
     def __post_init__(self):
         if not (np.isfinite(self.i0) and self.i0 > 0):
-            raise ValueError("mean intensity i0 must be positive")
+            raise DomainError("i0 must be positive and finite")
         if self.n < 1:
             raise ValueError("unit count n must be at least 1")
         integral = isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)

@@ -21,9 +21,10 @@ Everything is evaluated in log space with one final exponentiation; the
 Gamma ratios overflow doubles long before the results do. One private
 evaluator gives all four binary closed forms from the eight distinct
 log-Gammas of an order pair, or of a grid of them, where it evaluates
-each distinct argument once and none outside the existence domain.
-``predict``, the four public closed forms and ``fracgi sweep`` all call
-it, so their values agree bit for bit.
+each distinct argument once and none outside the existence domain. It has
+two doors: ``predict`` for one order pair and ``fracgi sweep`` for a grid,
+whose values agree bit for bit; ``fracgi validate`` takes its moment
+targets from it too.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ __all__ = [
     "QuadratureError",
     "ValidityFlags",
     "AnalyticPrediction",
-    "moment_background",
-    "moment_signal",
-    "visibility",
-    "peak_snr_per_sqrt_n",
     "EXISTENCE",
     "exists",
     "violations",
@@ -103,17 +100,11 @@ def exists(rule: str, m, mu, nu):
 
 
 def violations(rule: str, m, mu, nu) -> list[str]:
-    """The quantities of ``rule`` that are not > 0, as reasons
-    "q = value <= 0"; over arrays, with the least value of q."""
+    """The quantities of ``rule`` that are not > 0 at scalar orders, as
+    reasons "q = value <= 0"."""
     reasons = []
     for r, q, f in EXISTENCE:
-        if r != rule:
-            continue
-        v = f(m, mu, nu)
-        if isinstance(v, np.ndarray):
-            if not np.all(v > 0):
-                reasons.append(f"{q} = {np.min(v):g} <= 0")
-        elif not v > 0:
+        if r == rule and not (v := f(m, mu, nu)) > 0:
             reasons.append(f"{q} = {v:g} <= 0")
     return reasons
 
@@ -121,11 +112,6 @@ def violations(rule: str, m, mu, nu) -> list[str]:
 def _check(condition, reason: str) -> None:
     if not (condition.all() if isinstance(condition, np.ndarray) else condition):
         raise DomainError(reason)
-
-
-def _require(rule: str, m, mu, nu) -> None:
-    reasons = violations(rule, m, mu, nu)
-    _check(not reasons, "; ".join(reasons))
 
 
 def _lgamma_at(x, cells):
@@ -184,53 +170,6 @@ def _closed_forms(m, mu, nu, i0=1.0, variance=False, cells=None):
     ln_var = ln_second + np.log1p(-np.exp(ln_square - ln_second))
     out[3] = np.exp(ln_contrast - 0.5 * ln_var)
     return out
-
-
-def _evaluate(m, mu, nu, i0=1.0, variance=False):
-    """_closed_forms at validated orders: floats for scalar orders, else
-    arrays of the orders' broadcast shape."""
-    if np.ndim(mu) == np.ndim(nu) == 0:
-        out = _closed_forms(m, float(mu), float(nu), i0, variance)
-        return [None if x is None else float(x) for x in out]
-    mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
-    cells = np.ones(np.broadcast_shapes(mu.shape, nu.shape), dtype=bool)
-    out = _closed_forms(m, mu, nu, i0, variance and cells, cells)
-    return [None if x is None else x.reshape(cells.shape) for x in out]
-
-
-def _binary_moment(m: int, mu, nu, i0: float, t: int):
-    mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
-    _check(m >= 1, "m >= 1 required")
-    _require("moment", m, mu, nu)
-    _check(0 < i0 < math.inf, "i0 must be positive and finite")
-    return _evaluate(m, mu, nu, i0)[t]  # t = 0 is the background, t = 1 the signal
-
-
-def moment_background(m: int, mu, nu, i0: float = 1.0):
-    """Background fractional moment <I_B^mu I_i^nu> at a t=0 pixel."""
-    return _binary_moment(m, mu, nu, i0, 0)
-
-
-def moment_signal(m: int, mu, nu, i0: float = 1.0):
-    """Signal fractional moment <I_B^mu I_i^nu> at a t=1 pixel."""
-    return _binary_moment(m, mu, nu, i0, 1)
-
-
-def visibility(m: int, mu, nu):
-    """Image visibility |signal-background| / (signal+background)."""
-    mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
-    _check(m >= 2, "m >= 2 required")
-    _require("moment", m, mu, nu)
-    return _evaluate(m, mu, nu)[2]
-
-
-def peak_snr_per_sqrt_n(m: int, mu, nu):
-    """Relative peak SNR R_p / sqrt(N) (dimensionless surface value)."""
-    mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
-    _check(m >= 2, "m >= 2 required")
-    _require("moment", m, mu, nu)
-    _require("signal variance", m, mu, nu)
-    return _evaluate(m, mu, nu, variance=True)[3]
 
 
 @dataclass(frozen=True)
@@ -292,7 +231,8 @@ def predict(
     flags = require_moment(m, mu, nu)
     _check(m >= 2, "m >= 2 required")
     _check(0 < i0 < math.inf, "i0 must be positive and finite")
-    background, signal, v, rp_rel = _evaluate(m, mu, nu, i0, flags.variance_finite)
+    out = _closed_forms(m, float(mu), float(nu), i0, flags.variance_finite)
+    background, signal, v, rp_rel = (None if x is None else float(x) for x in out)
     rp = None if rp_rel is None else math.sqrt(n_samples) * rp_rel
     return AnalyticPrediction(
         m=m,

@@ -19,14 +19,7 @@ from fracgi.metrics import class_average_matrix
 from fracgi.moments import MomentOrder, multi_order_pass
 from fracgi.objects import ObjectMask, block_mask, classify_units, letter_a_mask
 from fracgi.speckle import SampleSet, SpeckleConfig
-from fracgi.theory import (
-    bucket_pdf_general,
-    moment_background,
-    moment_general,
-    moment_signal,
-    peak_snr_per_sqrt_n,
-    visibility,
-)
+from fracgi.theory import bucket_pdf_general, moment_general, predict
 
 GRID_MUS = (-2.7183, -1.414, -0.618, 0.618, 1.414, 2.7183)
 GRID_NU = 0.5
@@ -67,9 +60,8 @@ def test_criterion_1_mc_vs_closed_form(grid_run):
     worst = 0.0
     for order in grid_run["orders"][:6]:
         st = grid_run["stats"][order]
-        for col, closed in enumerate(
-            (moment_signal(20, order.mu, order.nu), moment_background(20, order.mu, order.nu))
-        ):
+        pred = predict(20, order.mu, order.nu, N_SAMPLES)
+        for col, closed in enumerate((pred.moment_signal, pred.moment_background)):
             dev = abs(st.joint_mean[col] - closed) / st.joint_se()[col]
             worst = max(worst, dev)
     ok = worst < 5.0 and grid_run["elapsed"] < 60.0
@@ -110,18 +102,23 @@ def test_criterion_3_classic_contrast(grid_run):
     for m, st in results:
         g, se = st.g[0], st.g_se()[0]
         contrast_ok = abs(g - 1.0 - 1.0 / m) < 5 * se
-        v_exact = abs(visibility(m, 1, 1) - 1.0 / (2 * m + 1)) < 1e-12
+        v_exact = abs(predict(m, 1, 1, N_SAMPLES).visibility - 1.0 / (2 * m + 1)) < 1e-12
         ok &= contrast_ok and v_exact
         details.append(f"m={m}: g-1={g - 1:.5f} (1/m={1 / m:.3f}), V=1/{2 * m + 1}")
     announce("criterion 3 (classic contrast anchor)", ok, " ".join(details))
 
 
-def test_criterion_4_visibility_properties():
+def test_criterion_4_visibility_properties(tmp_path):
     start = time.perf_counter()
-    mu = np.round(np.arange(-3.0, 3.0001, 0.1), 12)
-    mu = mu[mu != 0.0]
-    nu = np.round(np.arange(0.1, 3.0001, 0.1), 12)
-    surfaces = {m: visibility(m, mu[:, None], nu[None, :]) for m in (20, 30)}
+    out = tmp_path / "surfaces.csv"
+    argv = ["sweep", "--m", "20,30", "--mu=-3:3:0.1", "--nu", "0.1:3:0.1", "--out", str(out)]
+    assert cli_main(argv) == 0
+    # rows run over m, then mu (0 excluded), then nu: columns m, mu, nu, V
+    rows = [line.split(",")[:4] for line in out.read_text().splitlines()[1:]]
+    table = np.array(rows, dtype=float).reshape(2, 60, 30, 4)
+    assert table[:, 0, 0, 0].tolist() == [20, 30]
+    mu = table[0, :, 0, 1]
+    surfaces = {20: table[0, ..., 3], 30: table[1, ..., 3]}
 
     ok = True
     for m, v in surfaces.items():
@@ -151,7 +148,8 @@ def test_criterion_4_visibility_properties():
 
 def test_criterion_5_snr_shape():
     nus = np.round(np.arange(0.01, 3.0001, 0.01), 12)
-    curves = {mu: peak_snr_per_sqrt_n(20, mu, nus) for mu in (1.0, -1.0)}
+    curves = {mu: np.array([predict(20, mu, nu, 1).rp_per_sqrt_n for nu in nus])
+              for mu in (1.0, -1.0)}
     interior = all(0 < int(np.argmax(c)) < len(nus) - 1 for c in curves.values())
     negative_wins = curves[-1.0].max() > curves[1.0].max()
     announce(
@@ -193,14 +191,11 @@ def test_criterion_7_quadrature_oracle():
     worst = 0.0
     for mu in GRID_MUS + (1.0,):
         nu = GRID_NU if mu != 1.0 else 1.0
+        pred = predict(20, mu, nu, 1)
         worst = max(
             worst,
-            abs(moment_general(mask, signal_pixel, mu, nu) / moment_signal(20, mu, nu) - 1),
-            abs(
-                moment_general(mask, background_pixel, mu, nu)
-                / moment_background(20, mu, nu)
-                - 1
-            ),
+            abs(moment_general(mask, signal_pixel, mu, nu) / pred.moment_signal - 1),
+            abs(moment_general(mask, background_pixel, mu, nu) / pred.moment_background - 1),
         )
     gray_value = moment_general(GRAY, 1, 1.0, 1.0)
     gray_err = abs(gray_value - 2.2) / 2.2

@@ -179,6 +179,25 @@ def test_simulate_missing_object_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("i0", ["0", "-1", "inf", "nan"])
+def test_bad_i0_is_a_domain_error_and_writes_nothing(tmp_path, capsys, command, i0):
+    argv = [command, "--n-samples", "100", "--orders=1:1", "--seed", "1", "--i0", i0]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "x")]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "domain error: i0 must be positive and finite\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_simulate_bad_seed_writes_nothing(tmp_path, capsys):
+    code, _, err = run(capsys, "simulate", "--n-samples", "100", "--orders=1:1", "--seed=-1",
+                       "--out", str(tmp_path / "x"))
+    assert code == 1 and "seed must be a 64-bit unsigned integer" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_workers_flag_and_env_validation(tmp_path, capsys, monkeypatch):
     args = ["simulate", "--n-samples", "100", "--orders", "1:1", "--seed", "1",
             "--out", str(tmp_path / "x")]
@@ -303,6 +322,35 @@ def test_sweep_malformed_range(tmp_path, capsys):
                        "--out", str(tmp_path / "s.csv"))
     assert code == 2
     assert "--mu" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--mu", "nan:1:0.1"), ("--mu", "-inf:1:0.1"), ("--mu", "0:inf:1"), ("--nu", "0:1:nan"),
+])
+def test_sweep_refuses_non_finite_range_parts(tmp_path, capsys, flag, value):
+    ranges = {"--mu": "1:1:1", "--nu": "1:1:1", flag: value}
+    code, out, err = run(capsys, "sweep", "--m", "20", *(f"{k}={v}" for k, v in ranges.items()),
+                         "--out", str(tmp_path / "s.csv"))
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} has non-finite parts: {value!r}\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_refuses_ranges_of_more_than_2_20_values(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "s.csv"
+    # a span past double range, then 2^20 + 1 values; refused before any list is built
+    for value in ("-1e308:1e308:1", "1:1048577:1"):
+        code, _, err = run(capsys, "sweep", "--m", "20", f"--mu={value}", "--nu", "1:1:1",
+                           "--out", str(out))
+        assert code == 2
+        assert err == f"error: --mu has more than 1048576 values: {value!r}\n"
+    assert not out.exists()
+    # the cap is inclusive: a range of exactly that many values runs
+    monkeypatch.setattr(cli, "_MAX_RANGE_VALUES", 16)
+    argv = ["sweep", "--m", "20", "--nu", "1:1:1", "--out", str(out)]
+    assert run(capsys, *argv, "--mu=1:17:1")[0] == 2 and not out.exists()
+    assert run(capsys, *argv, "--mu=1:16:1")[0] == 0
+    assert len(out.read_text().splitlines()) == 1 + 16
 
 
 # -- validate ------------------------------------------------------------------

@@ -185,7 +185,7 @@ def test_empty_mask_classes_rejected(run20):
 
 @pytest.fixture(scope="module")
 def convergence_runs():
-    from fracgi.theory import predict, visibility
+    from fracgi.theory import predict
 
     mask = letter_a_mask()
     classes = classify_units(mask)
@@ -196,7 +196,7 @@ def convergence_runs():
         (image,) = multi_order_pass(samples, [order])
         (stats,) = class_pass(samples, classes, [order])
         out[n] = (image, stats)
-    return classes, out, visibility(20, 1, 1), predict
+    return classes, out, predict(20, 1, 1, 1).visibility, predict
 
 
 def test_empirical_visibility_converges(convergence_runs):

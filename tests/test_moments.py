@@ -18,7 +18,7 @@ from fracgi.moments import (
 )
 from fracgi.objects import ObjectMask, classify_units, letter_a_mask
 from fracgi.speckle import TINY_INTENSITY, SampleSet, SpeckleConfig
-from fracgi.theory import DomainError, moment_background, moment_signal
+from fracgi.theory import DomainError, predict
 
 
 def frame(reference, bucket):
@@ -333,7 +333,7 @@ def test_bucket_moment_estimator_matches_closed_form(small_run):
     _, samples = small_run
     for mu in (-1.0, 0.5, 2.0):
         (image,) = multi_order_pass(samples, [MomentOrder(mu, 0.5)])
-        expected = moment_background(20, mu, 0.0)
+        expected = predict(20, mu, 0.0, 1).moment_background
         se = math.sqrt(
             max(image.bucket2_mean - image.bucket_mean**2, 0.0) / image.n_samples
         )
@@ -383,5 +383,5 @@ def test_signal_moments_match_closed_forms(small_run):
     (image,) = multi_order_pass(samples, [MomentOrder(-0.618, 0.5)])
     se = image.joint_se()
     for idx in classes.one_units[:5]:
-        expected = moment_signal(20, -0.618, 0.5)
+        expected = predict(20, -0.618, 0.5, 1).moment_signal
         assert abs(image.joint_mean[idx] - expected) < 5 * se[idx]

@@ -10,7 +10,7 @@ from fracgi.objects import (
     classify_units,
     letter_a_mask,
     load_object,
-    save_object_csv,
+    mask_csv_text,
 )
 
 
@@ -143,7 +143,7 @@ def test_classify_partition():
 def test_csv_round_trip_exact(tmp_path_factory, values):
     mask = make_mask(values)
     path = tmp_path_factory.mktemp("csv") / "mask.csv"
-    save_object_csv(mask, path)
+    path.write_text(mask_csv_text(mask), encoding="utf-8")
     back = load_object(path)
     assert np.array_equal(back.units, mask.units)
     assert (back.width, back.height) == (mask.width, mask.height)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fracgi.moments import GhostImage
-from fracgi.objects import ObjectMask, letter_a_mask, save_object_csv
+from fracgi.objects import ObjectMask, letter_a_mask, mask_csv_text
 from fracgi.reports import (
     SWEEP_HEADER,
     OrderResult,
@@ -234,5 +234,5 @@ def test_mask_digest_stable():
     ObjectMask(width=3, height=2, units=np.array([0.1, 1 / 3, 0.0, 1.0, 0.25, 2**-40])),
 ])
 def test_mask_digest_hashes_the_saved_csv(tmp_path, mask):
-    save_object_csv(mask, tmp_path / "mask.csv")
+    (tmp_path / "mask.csv").write_text(mask_csv_text(mask), encoding="utf-8")
     assert mask_digest(mask) == hashlib.sha256((tmp_path / "mask.csv").read_bytes()).hexdigest()

@@ -21,13 +21,9 @@ from fracgi.theory import (
     QuadratureError,
     bucket_pdf_general,
     joint_pdf_binary,
-    moment_background,
     moment_general,
-    moment_signal,
-    peak_snr_per_sqrt_n,
     predict,
     validity_domain,
-    visibility,
 )
 
 # frozen oracle values (independent high-precision evaluation)
@@ -54,49 +50,46 @@ GRAY = ObjectMask(width=3, height=1, units=np.array([0.2, 0.5, 1.0]))
 # -- closed-form moments -----------------------------------------------------
 
 
+def moments(m, mu, nu, i0=1.0):
+    """(background, signal) closed-form moments at one order pair."""
+    pred = predict(m, mu, nu, 1, i0)
+    return pred.moment_background, pred.moment_signal
+
+
 def test_moment_background_examples():
-    assert moment_background(20, 1, 1) == pytest.approx(20.0, rel=1e-13)
-    assert moment_background(5, 0, 0.5) == pytest.approx(GAMMA_3_2, rel=1e-13)
+    assert moments(20, 1, 1)[0] == pytest.approx(20.0, rel=1e-13)
+    assert moments(5, 0, 0.5)[0] == pytest.approx(GAMMA_3_2, rel=1e-13)
     expected = math.exp(math.lgamma(20.618) + math.lgamma(1.5) - math.lgamma(20))
-    assert moment_background(20, 0.618, 0.5) == pytest.approx(expected, rel=1e-13)
+    assert moments(20, 0.618, 0.5)[0] == pytest.approx(expected, rel=1e-13)
 
 
 def test_moment_signal_examples():
-    assert moment_signal(20, 1, 1) == pytest.approx(21.0, rel=1e-13)
-    assert moment_signal(20, -1, 1) == pytest.approx(0.05, rel=1e-13)
-    assert moment_signal(20, -1.414, 0.5) < moment_background(20, -1.414, 0.5)
+    assert moments(20, 1, 1)[1] == pytest.approx(21.0, rel=1e-13)
+    assert moments(20, -1, 1)[1] == pytest.approx(0.05, rel=1e-13)
+    background, signal = moments(20, -1.414, 0.5)
+    assert signal < background
 
 
 def test_moment_scaling_in_i0():
-    assert moment_signal(5, 1.2, 0.7, i0=2.0) == pytest.approx(
-        moment_signal(5, 1.2, 0.7) * 2.0**1.9, rel=1e-12
+    assert moments(5, 1.2, 0.7, i0=2.0)[1] == pytest.approx(
+        moments(5, 1.2, 0.7)[1] * 2.0**1.9, rel=1e-12
     )
 
 
 def test_moment_domain_errors():
     with pytest.raises(DomainError):
-        moment_background(2, -2.5, 0.4)
+        moments(2, -2.5, 0.4)
     with pytest.raises(DomainError):
-        moment_signal(2, -2.2, 0.1)
+        moments(2, -2.2, 0.1)
     with pytest.raises(DomainError):
-        moment_background(3, 1.0, -1.2)
+        moments(3, 1.0, -1.2)
     # log Gamma past double range is inf, as in scipy, never an OverflowError
     with pytest.raises(DomainError, match="degenerate variance"), np.errstate(invalid="ignore"):
-        peak_snr_per_sqrt_n(20, 1e306, 1.0)
-
-
-def test_closed_forms_name_the_least_violating_value_over_arrays():
-    with pytest.raises(DomainError, match=r"^m\+mu\+nu = -0\.5 <= 0; m\+mu = -1 <= 0$"):
-        visibility(20, np.array([1.0, -21.0, -20.5]), 0.5)
-    with pytest.raises(DomainError, match=r"^1\+2\*nu = -0\.2 <= 0$"):
-        peak_snr_per_sqrt_n(20, 1.0, np.array([0.5, -0.6, -0.55]))
+        predict(20, 1e306, 1.0, 1)
 
 
 @pytest.mark.parametrize("i0", [0.0, -1.0, math.inf, math.nan])
 def test_moments_refuse_nonpositive_or_nonfinite_i0(i0):
-    for closed_form in (moment_background, moment_signal):
-        with pytest.raises(DomainError, match="i0 must be positive and finite"):
-            closed_form(20, 1.0, 1.0, i0)
     with pytest.raises(DomainError, match="i0 must be positive and finite"):
         predict(20, 1.0, 1.0, 1000, i0)
 
@@ -114,8 +107,8 @@ def test_background_factorizes_in_nu():
             if m + mu <= 0:
                 continue
             for nu in (0.3, 1.1, 2.9):
-                lhs = moment_background(m, mu, nu)
-                rhs = moment_background(m, mu, 0.0) * math.exp(math.lgamma(1 + nu))
+                lhs = moments(m, mu, nu)[0]
+                rhs = moments(m, mu, 0.0)[0] * math.exp(math.lgamma(1 + nu))
                 assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -125,11 +118,15 @@ def test_sign_inequalities_across_grid():
             if mu == 0 or m + mu <= 0 or m + mu + 0.5 <= 0:
                 continue
             for nu in (0.5, 1.5, 3.0):
-                diff = moment_signal(m, mu, nu) - moment_background(m, mu, nu)
-                assert math.copysign(1, diff) == math.copysign(1, mu)
+                background, signal = moments(m, mu, nu)
+                assert math.copysign(1, signal - background) == math.copysign(1, mu)
 
 
 # -- visibility and peak SNR -------------------------------------------------
+
+
+def visibility(m, mu, nu):
+    return predict(m, mu, nu, 1).visibility
 
 
 def test_visibility_recurrence_values():
@@ -140,7 +137,7 @@ def test_visibility_recurrence_values():
 
 
 def test_visibility_requires_m_at_least_2():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="m >= 2 required"):
         visibility(1, 1.0, 0.5)
 
 
@@ -149,20 +146,20 @@ def test_peak_snr_recurrence_value():
 
 
 def test_peak_snr_existence_condition():
-    with pytest.raises(DomainError) as err:
-        peak_snr_per_sqrt_n(2, -1.5, 0.2)
-    assert "m+2*mu+2*nu" in str(err.value)
+    pred = predict(2, -1.5, 0.2, 1000)
+    assert pred.moment_finite and not pred.variance_finite
+    assert pred.rp_per_sqrt_n is None and pred.peak_snr is None
+    assert any("m+2*mu+2*nu" in r for r in validity_domain(2, -1.5, 0.2).reasons)
 
 
 def test_peak_snr_interior_maximum_in_nu():
     nus = np.arange(0.05, 3.0001, 0.05)
-    for mu in (1.0, -1.0):
-        values = peak_snr_per_sqrt_n(20, mu, nus)
+    curves = {mu: np.array([predict(20, mu, nu, 1).rp_per_sqrt_n for nu in nus])
+              for mu in (1.0, -1.0)}
+    for values in curves.values():
         peak = int(np.argmax(values))
         assert 0 < peak < len(nus) - 1
-    neg = peak_snr_per_sqrt_n(20, -1.0, nus).max()
-    pos = peak_snr_per_sqrt_n(20, 1.0, nus).max()
-    assert neg > pos
+    assert curves[-1.0].max() > curves[1.0].max()
 
 
 def test_predict_bundle():
@@ -185,20 +182,27 @@ def test_predict_variance_divergent_keeps_moments():
 @pytest.mark.parametrize("mu, nu", [(-2.7183, 0.5), (-1.414, 1.3), (0.618, 0.5), (2.7183, 2.0),
                                     (1.0, -0.55)])
 def test_predict_fields_equal_the_public_closed_forms(mu, nu, i0):
-    # one evaluator serves them all: scalar and array calls give the same bits
+    # the published Gamma-ratio forms of the module docstring, in 30-digit mpmath
     pred = predict(20, mu, nu, 120000, i0)
-    fields = [(pred.moment_background, lambda mu: moment_background(20, mu, nu, i0)),
-              (pred.moment_signal, lambda mu: moment_signal(20, mu, nu, i0)),
-              (pred.visibility, lambda mu: visibility(20, mu, nu))]
-    if nu > -0.5:
-        fields.append((pred.rp_per_sqrt_n, lambda mu: peak_snr_per_sqrt_n(20, mu, nu)))
-        assert pred.peak_snr == math.sqrt(120000) * pred.rp_per_sqrt_n
-    else:  # 1+2*nu <= 0: the estimator variance does not exist
-        assert pred.rp_per_sqrt_n is None and pred.peak_snr is None
-    for value, closed_form in fields:
+    with mp.workdps(30):
+        m, mu_, nu_ = mp.mpf(20), mp.mpf(mu), mp.mpf(nu)
+        background = mp.gamma(m + mu_) * mp.gamma(1 + nu_) / mp.gamma(m)
+        signal = mp.gamma(m + mu_ + nu_) * mp.gamma(1 + nu_) / mp.gamma(m + nu_)
+        scale = mp.mpf(i0) ** (mu_ + nu_)
+        fields = [(pred.moment_background, background * scale, 1e-13),
+                  (pred.moment_signal, signal * scale, 1e-13),
+                  (pred.visibility, abs(signal - background) / (signal + background), 1e-11)]
+        if nu > -0.5:
+            second = (mp.gamma(m + 2 * mu_ + 2 * nu_) * mp.gamma(1 + 2 * nu_)
+                      / mp.gamma(m + 2 * nu_))
+            rp = abs(signal - background) / mp.sqrt(second - signal**2)
+            fields.append((pred.rp_per_sqrt_n, rp, 1e-11))
+            assert pred.peak_snr == math.sqrt(120000) * pred.rp_per_sqrt_n
+        else:  # 1+2*nu <= 0: the estimator variance does not exist
+            assert pred.rp_per_sqrt_n is None and pred.peak_snr is None
+    for value, expected, rel in fields:
         assert type(value) is float
-        assert value == closed_form(mu)
-        assert value == closed_form(np.array([0.5, mu]))[1]
+        assert value == pytest.approx(float(expected), rel=rel)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -635,7 +639,7 @@ def test_moment_general_near_divergent_order():
     # two units at mu=-1.9: s^-mu phi(s) falls off only like s^-0.1
     mask = ObjectMask(width=3, height=1, units=np.array([1.0, 1.0, 0.0]))
     got = moment_general(mask, 2, -1.9, 0.5)
-    assert got == pytest.approx(moment_background(2, -1.9, 0.5), rel=1e-10)
+    assert got == pytest.approx(moments(2, -1.9, 0.5)[0], rel=1e-10)
 
 
 @pytest.mark.parametrize("level", sorted(BLOB_NEGATIVE_ORDER))
@@ -670,7 +674,7 @@ def test_moment_general_high_orders_on_many_units(mu):
     # on 2000 ones the derivative recursion's h_K outgrows a double from
     # K ~ 250 on, while the moment itself is 7e4 at mu = 250.5
     mask = ObjectMask(width=2000, height=1, units=np.ones(2000))
-    expected = moment_signal(2000, mu, 0.5, 1 / 2000)
+    expected = moments(2000, mu, 0.5, 1 / 2000)[1]
     assert moment_general(mask, 0, mu, 0.5, 1 / 2000) == pytest.approx(expected, rel=1e-10)
 
 
