@@ -177,7 +177,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_predict(args) -> int:
     pred = theory.predict(args.m, args.mu, args.nu, args.n, args.i0)
-    print(json.dumps(dataclasses.asdict(pred), sort_keys=True, separators=(",", ":")))
+    print(json.dumps(dataclasses.asdict(pred), sort_keys=True, separators=(",", ":"),
+                     allow_nan=False))
     return EXIT_OK
 
 
@@ -232,7 +233,7 @@ def cmd_validate(args) -> int:
     )
     groups = metrics.class_average_matrix(classes)
     images = moments.multi_order_pass(samples, orders, workers=args.workers,
-                                      pair_shift=int(args.null_pairing), groups=groups)
+                                      null_pairing=args.null_pairing, groups=groups)
     failed = skipped = 0
     for order, image in zip(orders, images):
         background, signal, _, _ = theory._closed_forms(args.m, order.mu, order.nu, args.i0)

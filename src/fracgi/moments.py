@@ -11,8 +11,9 @@ mat-vecs b @ R and b^2 @ R^2, b its bucket powers. One stacked product per nu
 would be a GEMM, but then an order's bits would depend on how many orders
 share its nu. Frames are sharded in fixed 8192-frame ranges and each shard's
 sums are added to the total in shard-index order as they arrive, so results
-do not depend on the worker count. Memory does not grow with N, except
-under a pair shift, which holds a rolled copy of all N bucket values.
+do not depend on the worker count. Memory does not grow with N, also
+under null pairing, where each batch draws one more frame for its last
+bucket.
 
 Given a unit-to-group matrix P, the pass reduces per-frame group values
 y_f = I_B^mu * sum_i P[i, c] I_i^nu instead of pixels; with class-averaging
@@ -226,7 +227,7 @@ def multi_order_pass(
     orders: list[MomentOrder],
     *,
     workers: int = 1,
-    pair_shift: int = 0,
+    null_pairing: bool = False,
     groups: np.ndarray | None = None,
 ) -> list[GhostImage]:
     """One streaming pass over the sample set for all order pairs at once.
@@ -234,10 +235,10 @@ def multi_order_pass(
     Frames are processed in fixed-size shards, and each shard's sums are
     added to the total in shard-index order as they arrive, so results are
     identical for any worker count and memory does not grow with N.
-    ``pair_shift`` pairs the reference of frame j with the bucket of frame
-    (j + shift) mod N, which destroys the bucket-reference correlation
-    (decorrelation null runs); it draws all N bucket values and holds an
-    ``np.roll`` copy of them, 8 bytes per frame, 16 while it rolls.
+    ``null_pairing`` pairs the reference of frame j with the bucket of
+    frame (j + 1) mod N, which destroys the bucket-reference correlation
+    (decorrelation null runs): a batch takes its own buckets shifted by
+    one, and the last from a one-frame draw of the frame after it.
     ``groups`` (n_units x k) maps each frame's reference powers to k group
     values before accumulation; the images are then k x 1, one pixel per
     group column.
@@ -254,10 +255,6 @@ def multi_order_pass(
             raise ValueError(f"groups must be an ({samples.config.n}, k) matrix")
         width, height = groups.shape[1], 1
 
-    shifted = None
-    if pair_shift % samples.n_frames != 0:
-        shifted = np.roll(samples.buckets(), -(pair_shift % samples.n_frames))
-
     # one reference block and one power scratch per worker, reused by every
     # batch of its shards: a batch-sized array freed per batch goes back to
     # the kernel and is faulted in again by the next batch
@@ -273,8 +270,10 @@ def multi_order_pass(
         block, scratch = buffers.get()
         try:
             for first, refs, buckets in samples.iter_batches(start=start, stop=stop, out=block):
-                if shifted is not None:
-                    buckets = shifted[first : first + buckets.size]
+                if null_pairing:  # drawn into the scratch, which add_batch overwrites
+                    after = (first + buckets.size) % samples.n_frames
+                    ((_, _, last),) = samples.iter_batches(after, after + 1, out=scratch)
+                    buckets = np.concatenate([buckets[1:], last])
                 sums.add_batch(refs, buckets, groups, scratch)
         finally:
             buffers.put((block, scratch))

@@ -133,11 +133,3 @@ class SampleSet:
             refs = _intensity_block(self.config, first, count, out)
             buckets = np.einsum("fp,p->f", refs, weights)
             yield first, refs, buckets
-
-    def buckets(self) -> np.ndarray:
-        """All N bucket values in frame order."""
-        out = np.empty(self.n_frames)
-        block = np.empty((min(self.batch_size, self.n_frames), self.config.n))
-        for first, _, buckets in self.iter_batches(out=block):
-            out[first : first + buckets.size] = buckets
-        return out

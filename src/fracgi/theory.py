@@ -152,7 +152,8 @@ def _closed_forms(m, mu, nu, i0=1.0, variance=False, cells=None):
     order = mu + nu if cells is None else np.broadcast_to(mu + nu, cells.shape)[cells]
     ln_i0 = order * math.log(i0)
     v = np.abs(np.tanh(0.5 * ((a - b) - (c - d))))
-    out = [np.exp(ln_bg + ln_i0), np.exp(ln_sig + ln_i0), v, None]
+    with np.errstate(over="ignore"):  # a moment past a double is inf; predict refuses it
+        out = [np.exp(ln_bg + ln_i0), np.exp(ln_sig + ln_i0), v, None]
     if variance is False:
         return out
     if cells is not None:
@@ -225,14 +226,16 @@ def predict(
     m: int, mu: float, nu: float, n_samples: int, i0: float = 1.0
 ) -> AnalyticPrediction:
     """Evaluate all closed forms; raises DomainError when the moments do
-    not exist, returns None SNR fields (flag false) when only the
-    estimator variance diverges."""
+    not exist or overflow a double, returns None SNR fields (flag false)
+    when only the estimator variance diverges."""
     _check(n_samples >= 1, "n_samples >= 1 required")
     flags = require_moment(m, mu, nu)
     _check(m >= 2, "m >= 2 required")
     _check(0 < i0 < math.inf, "i0 must be positive and finite")
     out = _closed_forms(m, float(mu), float(nu), i0, flags.variance_finite)
     background, signal, v, rp_rel = (None if x is None else float(x) for x in out)
+    _check(math.isfinite(background) and math.isfinite(signal),
+           f"orders mu={mu:g}, nu={nu:g}: moment overflows a double at m={m}, i0={i0:g}")
     rp = None if rp_rel is None else math.sqrt(n_samples) * rp_rel
     return AnalyticPrediction(
         m=m,

@@ -11,6 +11,12 @@ settings.register_profile(
 settings.load_profile("default")
 
 
+def all_buckets(samples) -> np.ndarray:
+    """All N bucket values of a SampleSet in frame order, from one pass of
+    its batches."""
+    return np.concatenate([b for _, _, b in samples.iter_batches()])
+
+
 @pytest.fixture
 def lgamma_args(monkeypatch) -> list:
     """Every argument fracgi.theory._lgamma is given during the test, one per element."""

@@ -21,6 +21,8 @@ from fracgi.objects import ObjectMask, block_mask, classify_units, letter_a_mask
 from fracgi.speckle import SampleSet, SpeckleConfig
 from fracgi.theory import bucket_pdf_general, moment_general, predict
 
+from conftest import all_buckets
+
 GRID_MUS = (-2.7183, -1.414, -0.618, 0.618, 1.414, 2.7183)
 GRID_NU = 0.5
 N_SAMPLES = 200_000
@@ -168,7 +170,7 @@ def test_criterion_6_distributional_checks():
         mask = ObjectMask(width=m, height=1, units=np.ones(m))
         samples = SampleSet(SpeckleConfig(i0=1.0, seed=21 + m, n=m), mask, 100_000)
         model = bucket_pdf_general(mask, 1.0)
-        p = scipy_stats.kstest(samples.buckets(), lambda x: model.cdf(x)).pvalue
+        p = scipy_stats.kstest(all_buckets(samples), lambda x: model.cdf(x)).pvalue
         ok &= p > 1e-3
         details.append(f"KS m={m}: p={p:.3f}")
 
@@ -232,7 +234,7 @@ def test_criterion_8_determinism(tmp_path):
 
 def test_criterion_9_null_test(grid_run):
     orders = grid_run["orders"][:6]
-    images = multi_order_pass(grid_run["samples"], orders, pair_shift=1)
+    images = multi_order_pass(grid_run["samples"], orders, null_pairing=True)
     worst = 0.0
     for image in images:
         z = np.abs(image.g - 1.0) / image.g_se()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -58,6 +59,25 @@ def test_predict_bad_sampling_count_or_intensity_exit_3(capsys, flag, value, rea
     code, out, err = run(capsys, "predict", "--m", "20", "--mu", "1", "--nu", "1", flag, value)
     assert code == 3 and out == ""
     assert err == f"domain error: {reason}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [("--mu", "250", "--nu", "1"),
+                                  ("--mu", "1", "--nu", "1", "--i0", "1e300")])
+def test_predict_refuses_moments_past_a_double_exit_3(capsys, args):
+    code, out, err = run(capsys, "predict", "--m", "20", *args)
+    assert code == 3 and out == ""
+    assert "moment overflows a double" in err
+
+
+def test_predict_writes_strict_json(capsys, monkeypatch):
+    # a non-finite field is an error, never the non-JSON token Infinity
+    real = theory.predict
+    monkeypatch.setattr(theory, "predict",
+                        lambda *args: dataclasses.replace(real(*args), peak_snr=float("inf")))
+    code, out, err = run(capsys, "predict", "--m", "20", "--mu", "1", "--nu", "1")
+    assert code == 1 and out == ""
+    assert "JSON" in err
 
 
 # -- simulate ----------------------------------------------------------------
@@ -315,6 +335,20 @@ def test_sweep_through_nu_zero_warns_nothing(tmp_path, capsys):
     at_zero = [row for row in rows if float(row[2]) == 0.0]
     assert len(at_zero) == 60
     assert all(float(row[3]) == 0.0 and float(row[4]) == 0.0 for row in at_zero)
+
+
+def test_sweep_past_moment_overflow_warns_nothing(tmp_path, capsys):
+    # the moments overflow a double from mu of about 160 at m = 20, but the
+    # CSV holds only V and R_p/sqrt(N), which stay finite
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "sweep", "--m", "20", "--mu=250:300:50", "--nu", "1:1:1",
+                           "--out", str(out))
+    assert code == 0, err
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["250", "300"]
+    assert all(0 < float(row[3]) < 1 and 0 < float(row[4]) < 1e-60 for row in rows)
 
 
 def test_sweep_malformed_range(tmp_path, capsys):

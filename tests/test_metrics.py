@@ -13,6 +13,8 @@ from fracgi.moments import GhostImage, MomentOrder, multi_order_pass
 from fracgi.objects import ObjectMask, classify_units, letter_a_mask
 from fracgi.speckle import SampleSet, SpeckleConfig
 
+from conftest import all_buckets
+
 
 def make_image(joint, joint2=None, n_samples=1000):
     joint = np.asarray(joint, dtype=float)
@@ -135,30 +137,34 @@ def test_class_stats_multi_shares_pass(run20):
         np.testing.assert_array_equal(stats.joint_se(), single.joint_se())
 
 
-@pytest.mark.parametrize("pair_shift, workers", [(0, 1), (1, 1), (1, 2)])
-def test_class_columns_match_hand_reduction(run20, pair_shift, workers):
-    """Each column is the frame average of y_f = b_f^mu * mean_{i in class}
-    r_{f,i}^nu, with standard error std(y_f)/sqrt(N); recomputed here from
-    the raw batches with plain numpy, independently of the accumulator."""
-    _, classes, samples = run20
+@pytest.mark.parametrize("shift, workers", [(0, 1), (1, 1), (1, 2)])
+def test_class_columns_match_hand_reduction(run20, shift, workers):
+    """Each column is the frame average of y_f = b_{f+shift}^mu *
+    mean_{i in class} r_{f,i}^nu, with standard error std(y_f)/sqrt(N);
+    recomputed here from the raw batches with plain numpy, independently of
+    the accumulator. Shift 1 is null pairing. N = 2 is one batch; at
+    N = 20000 the last batch is partial and ends the last shard, so in
+    both frame N-1 meets frame 0."""
+    mask, classes, run = run20
     order = MomentOrder(-1.414, 0.5)
-    (stats,) = class_pass(samples, classes, [order], pair_shift=pair_shift, workers=workers)
-    refs = np.concatenate([r for _, r, _ in samples.iter_batches()])
-    buckets = samples.buckets()
-    bucket_pow = np.roll(buckets, -pair_shift) ** order.mu
-    n = samples.n_frames
-    for col, units in enumerate((classes.one_units, classes.zero_units)):
-        z = (refs[:, units] ** order.nu).mean(axis=1)
-        y = bucket_pow * z
-        assert stats.joint_mean[col] == pytest.approx(y.mean(), rel=1e-12)
-        assert stats.joint_se()[col] == pytest.approx(y.std() / math.sqrt(n), rel=1e-12)
-        assert stats.ref_mean[col] == pytest.approx(z.mean(), rel=1e-12)
-    assert stats.bucket_mean == pytest.approx(bucket_pow.mean(), rel=1e-12)
+    for n in (2, run.n_frames):
+        samples = SampleSet(run.config, mask, n)
+        (stats,) = class_pass(samples, classes, [order], null_pairing=shift == 1,
+                              workers=workers)
+        refs = np.concatenate([r for _, r, _ in samples.iter_batches()])
+        bucket_pow = np.roll(all_buckets(samples), -shift) ** order.mu
+        for col, units in enumerate((classes.one_units, classes.zero_units)):
+            z = (refs[:, units] ** order.nu).mean(axis=1)
+            y = bucket_pow * z
+            assert stats.joint_mean[col] == pytest.approx(y.mean(), rel=1e-12)
+            assert stats.joint_se()[col] == pytest.approx(y.std() / math.sqrt(n), rel=1e-12)
+            assert stats.ref_mean[col] == pytest.approx(z.mean(), rel=1e-12)
+        assert stats.bucket_mean == pytest.approx(bucket_pow.mean(), rel=1e-12)
 
 
 def test_null_pairing_kills_contrast(run20):
     _, classes, samples = run20
-    (stats,) = class_pass(samples, classes, [MomentOrder(1.414, 0.5)], pair_shift=1)
+    (stats,) = class_pass(samples, classes, [MomentOrder(1.414, 0.5)], null_pairing=True)
     assert np.all(np.abs(stats.g - 1.0) < 5 * stats.g_se())
 
 

@@ -16,9 +16,11 @@ from fracgi.moments import (
     _power,
     multi_order_pass,
 )
-from fracgi.objects import ObjectMask, classify_units, letter_a_mask
+from fracgi.objects import ObjectMask, block_mask, classify_units, letter_a_mask
 from fracgi.speckle import TINY_INTENSITY, SampleSet, SpeckleConfig
 from fracgi.theory import DomainError, predict
+
+from conftest import all_buckets
 
 
 def frame(reference, bucket):
@@ -182,15 +184,19 @@ def test_multi_order_matches_manual_accumulation(small_run, wide_run, monkeypatc
     # nu = 0.5 takes the sqrt path of the reference powers, nu = 0.7 the
     # log-space one
     orders = [MomentOrder(mu=0.618, nu=0.5), MomentOrder(mu=-1.0, nu=0.7)]
-    # the last case pairs shifted buckets across 16 shards of two batches
+    # null pairing (shift 1) on 16 shards of two batches, the last one
+    # ending mid-batch, and on two frames, one batch; in both frame N-1
+    # meets frame 0
+    wide_mask, wide = wide_run
+    two = SampleSet(wide.config, wide_mask, 2)
     for (mask, samples), shard_size, shift in (
-        (small_run, 1024, 0), (wide_run, 1024, 0), (wide_run, 128, 37),
+        (small_run, 1024, 0), (wide_run, 1024, 0), (wide_run, 128, 1), ((wide_mask, two), 1024, 1),
     ):
         monkeypatch.setattr(moments, "_SHARD_SIZE", shard_size)
-        images = multi_order_pass(samples, orders, pair_shift=shift)
+        images = multi_order_pass(samples, orders, null_pairing=shift == 1)
         # independent plain-numpy reference over all frames at once
         refs = np.concatenate([r for _, r, _ in samples.iter_batches()])
-        buckets = np.roll(samples.buckets(), -shift)
+        buckets = np.roll(all_buckets(samples), -shift)
         for order, image in zip(orders, images):
             bucket_pow = buckets**order.mu
             ref_pow = refs**order.nu
@@ -322,6 +328,33 @@ def test_pass_memory_does_not_grow_with_shard_count(monkeypatch, workers):
     assert peaks[1] - peaks[0] < 16 * shard_bytes
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_null_pairing_memory_does_not_grow_with_n(monkeypatch, workers):
+    # a null-pairing pass draws one extra frame per batch for the batch's
+    # last bucket and keeps no per-frame array: on a 12-unit mask with
+    # class-averaging columns, 128 shards peak about where 4 do. A copy of
+    # all N buckets would add 8 bytes a frame, 16 while it rolls (3.2-3.6
+    # MB here); the bound, 4 bytes a frame of the larger pass (1 MB), leaves
+    # room for the 128 futures a two-worker pass submits at once (0.3 MB)
+    monkeypatch.setattr(moments, "_SHARD_SIZE", 2048)
+    mask = block_mask(5)
+    groups = metrics.class_average_matrix(classify_units(mask))
+    orders = [MomentOrder(mu, 0.5) for mu in (-1.414, 0.618)]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n_shards in (4, 128):
+            samples = SampleSet(SpeckleConfig(i0=1.0, seed=7, n=mask.n), mask, 2048 * n_shards)
+            assert samples.batch_size == 2048
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            multi_order_pass(samples, orders, workers=workers, groups=groups, null_pairing=True)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 4 * 2048 * 128
+
+
 def test_empty_orders_rejected(small_run):
     _, samples = small_run
     with pytest.raises(ValueError):
@@ -372,7 +405,7 @@ def test_sign_law_on_signal_pixels(small_run):
 def test_pair_shift_destroys_image(small_run):
     mask, samples = small_run
     classes = classify_units(mask)
-    (image,) = multi_order_pass(samples, [MomentOrder(1.414, 0.5)], pair_shift=1)
+    (image,) = multi_order_pass(samples, [MomentOrder(1.414, 0.5)], null_pairing=True)
     z = (image.g - 1.0) / image.g_se()
     assert np.abs(z).max() < 5.0
 

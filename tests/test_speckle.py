@@ -9,6 +9,8 @@ from fracgi.objects import ObjectMask, letter_a_mask
 from fracgi.speckle import TINY_INTENSITY, SampleSet, SpeckleConfig, _intensity_block
 from fracgi.theory import bucket_pdf_general
 
+from conftest import all_buckets
+
 GAMMA_3_2 = 0.886226925452758  # sqrt(pi)/2, half-integer Gamma identity
 
 
@@ -55,12 +57,20 @@ def test_batches_match_single_frames():
 
 
 def test_batch_size_does_not_change_results():
-    # buckets drawn in windows of 3 frames equal those of whole batches
-    cfg = config(n=5)
-    mask = ObjectMask(width=5, height=1, units=np.array([1, 0, 0.5, 1, 0.0]))
-    samples = SampleSet(cfg, mask, 40)
-    b_small = np.concatenate([b for _, _, b in windows(samples, 0, 40, 3)])
-    assert np.array_equal(b_small, samples.buckets())
+    # buckets drawn in windows of 1 or 3 frames equal those of whole
+    # batches (a null-pairing pass draws one-frame windows), also where a
+    # batch holds 2048 or 64 frames
+    wide = np.random.default_rng(3).random(4096)
+    for units, n_frames in (
+        (np.array([1, 0, 0.5, 1, 0.0]), 40),
+        (letter_a_mask().units, 2048 + 5),
+        (wide, 64 + 5),
+    ):
+        mask = ObjectMask(width=units.size, height=1, units=units)
+        samples = SampleSet(config(n=units.size), mask, n_frames)
+        for width in (1, 3):
+            b_small = np.concatenate([b for _, _, b in windows(samples, 0, n_frames, width)])
+            assert np.array_equal(b_small, all_buckets(samples))
 
 
 # -- distribution oracles ----------------------------------------------------
@@ -101,14 +111,14 @@ def test_bucket_histogram_ks_against_erlang(m):
     cfg = config(n=m, seed=21 + m)
     samples = SampleSet(cfg, mask, 100_000)
     model = bucket_pdf_general(mask, 1.0)
-    result = stats.kstest(samples.buckets(), lambda x: model.cdf(x))
+    result = stats.kstest(all_buckets(samples), lambda x: model.cdf(x))
     assert result.pvalue > 1e-3
 
 
 def test_bucket_lag1_autocorrelation():
     mask = letter_a_mask()
     cfg = config(n=mask.n, seed=5)
-    buckets = SampleSet(cfg, mask, 100_000).buckets()
+    buckets = all_buckets(SampleSet(cfg, mask, 100_000))
     centered = buckets - buckets.mean()
     rho = (centered[:-1] * centered[1:]).mean() / centered.var()
     assert abs(rho) < 5.0 / math.sqrt(buckets.size)
@@ -143,7 +153,7 @@ def test_bucket_partial_sum_bound():
 def test_mean_bucket_matches_weighted_sum():
     mask = ObjectMask(width=3, height=1, units=np.array([0.2, 0.5, 1.0]))
     cfg = config(n=3, i0=2.0, seed=17)
-    buckets = SampleSet(cfg, mask, 200_000).buckets()
+    buckets = all_buckets(SampleSet(cfg, mask, 200_000))
     expected = 2.0 * mask.units.sum()
     se = buckets.std() / math.sqrt(buckets.size)
     assert abs(buckets.mean() - expected) < 5 * se
@@ -222,7 +232,6 @@ def test_buffered_batches_match_fresh_ones(n, n_frames):
     # fresh blocks are independent arrays, so a list of them stays valid
     for i, (_, refs, _) in enumerate(fresh):
         assert not any(np.shares_memory(refs, other) for _, other, _ in fresh[i + 1 :])
-    assert np.array_equal(samples.buckets(), np.concatenate([b for _, _, b in fresh]))
 
 
 # -- stream layout -----------------------------------------------------------

@@ -221,6 +221,17 @@ def test_predict_refusals_keep_their_messages(args, message):
     assert str(err.value) == message
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu, nu, i0", [(250.0, 1.0, 1.0), (1.0, 1.0, 1e300), (-19.5, 1.0, 1e-300)])
+def test_predict_refuses_moments_past_a_double(mu, nu, i0):
+    # the moments exist but overflow a double: refused with no overflow
+    # warning on the way, where an inf field used to come out
+    with pytest.raises(DomainError, match="moment overflows a double"):
+        predict(20, mu, nu, 120000, i0)
+    # mu = 150 is still finite, about 3e288
+    assert math.isfinite(predict(20, 150.0, 1.0, 120000).moment_signal)
+
+
 def test_predict_takes_each_log_gamma_once(lgamma_args):
     # m+mu+nu, m+mu, m+nu, m, 1+nu and, for the variance, m+2mu+2nu, 1+2nu, m+2nu
     predict(20, -1.414, 0.5, 120000, 0.7)
