@@ -11,9 +11,10 @@ mat-vecs b @ R and b^2 @ R^2, b its bucket powers. One stacked product per nu
 would be a GEMM, but then an order's bits would depend on how many orders
 share its nu. Frames are sharded in fixed 8192-frame ranges and each shard's
 sums are added to the total in shard-index order as they arrive, so results
-do not depend on the worker count. Memory does not grow with N, also
-under null pairing, where each batch draws one more frame for its last
-bucket.
+do not depend on the worker count. A worker pool is handed the shards in
+windows of 32 per worker, so memory does not grow with N at any worker
+count, also under null pairing, where each batch draws one more frame for
+its last bucket.
 
 Given a unit-to-group matrix P, the pass reduces per-frame group values
 y_f = I_B^mu * sum_i P[i, c] I_i^nu instead of pixels; with class-averaging
@@ -23,6 +24,7 @@ columns these are the class statistics ``fracgi validate`` checks.
 from __future__ import annotations
 
 import functools
+import itertools
 import queue
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -43,6 +45,11 @@ __all__ = [
 # frames per shard: a multiple of every batch size (powers of two <= 2048),
 # so a shard never starts mid-batch; fixed, since the sums' bits depend on it
 _SHARD_SIZE = 8192
+
+# shards a worker pool is handed at a time, per worker: many more than one,
+# since the pool idles at each window's end (windows of one shard per
+# worker cost a two-worker pass on letter A about a tenth of its speed)
+_WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -279,10 +286,14 @@ def multi_order_pass(
             buffers.put((block, scratch))
         return sums
 
-    # the first shard's sums are the total; both maps yield lazily, in order
+    # the first shard's sums are the total; both maps yield lazily, in order,
+    # and the pool holds at most one window's futures and sums
     if workers == 1:
         total = functools.reduce(_Sums.merge, map(process, starts))
     else:
+        window = _WINDOW * workers
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            total = functools.reduce(_Sums.merge, pool.map(process, starts))
+            shards = itertools.chain.from_iterable(
+                pool.map(process, starts[i:i + window]) for i in range(0, len(starts), window))
+            total = functools.reduce(_Sums.merge, shards)
     return total.finalize(width, height)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -148,18 +148,6 @@ class RunReport:
     format_version: str = REPORT_VERSION
 
 
-_REQUIRED_KEYS = (
-    "format_version",
-    "mask_digest",
-    "i0",
-    "seed",
-    "n_samples",
-    "orders",
-    "results",
-    "rng_layout",
-)
-
-
 def mask_digest(mask: ObjectMask) -> str:
     """Stable content digest of a mask: sha256 of its ``mask_csv_text``."""
     return hashlib.sha256(mask_csv_text(mask).encode("utf-8")).hexdigest()
@@ -184,7 +172,8 @@ def read_report(path) -> RunReport:
         raise ReportVersionError(
             f"unsupported report version {version!r} (expected {REPORT_VERSION!r})"
         )
-    for key in _REQUIRED_KEYS:
+    keys = [field.name for field in fields(RunReport)]
+    for key in keys:
         if key not in payload:
             raise ReportSchemaError(f"report missing required key {key!r}")
     if payload["rng_layout"] != RNG_LAYOUT:
@@ -202,13 +191,6 @@ def read_report(path) -> RunReport:
             results.append(OrderResult(**entry))
         except TypeError as exc:
             raise ReportSchemaError(f"malformed result entry: {exc}") from exc
-    return RunReport(
-        mask_digest=payload["mask_digest"],
-        i0=payload["i0"],
-        seed=payload["seed"],
-        n_samples=payload["n_samples"],
-        orders=tuple(tuple(o) for o in orders),
-        results=tuple(results),
-        rng_layout=payload["rng_layout"],
-        format_version=version,
-    )
+    payload["orders"] = tuple(tuple(o) for o in orders)
+    payload["results"] = tuple(results)
+    return RunReport(**{key: payload[key] for key in keys})

@@ -141,6 +141,27 @@ def test_simulate_mask_file_with_binarize(tmp_path, capsys):
     assert report.results[0].v_analytic is not None  # binarized mask has m=2
 
 
+def test_simulate_grayscale_mask_file(tmp_path, capsys):
+    # a grayscale mask has no binary closed form: empirical V only
+    mask_path = tmp_path / "blob.csv"
+    mask_path.write_text("0,0.25,0.25,0\n0.25,1,1,0.25\n0.25,1,1,0.25\n0,0.5,0.5,0\n")
+    code, out, _ = run(
+        capsys, "simulate", "--object", str(mask_path), "--n-samples", "5000",
+        "--orders=-1.414:0.5,0.618:0.5,2.7183:0.5", "--seed", "3",
+        "--out", str(tmp_path / "r"),
+    )
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "r").glob("*.pgm")) == [
+        "ghost_01_mu-1.414_nu0.5.pgm", "ghost_02_mu0.618_nu0.5.pgm", "ghost_03_mu2.7183_nu0.5.pgm",
+    ]
+    report = read_report(tmp_path / "r" / "report.json")
+    assert [r.mu for r in report.results] == [-1.414, 0.618, 2.7183]
+    for result in report.results:
+        assert result.v_empirical is not None
+        assert result.v_analytic is None and result.rp_analytic is None
+    assert out.count("V_analytic=None") == 3
+
+
 def test_simulate_omits_empirical_snr_of_infinite_variance_orders(tmp_path, capsys):
     # m = 2: mu=-1.5, nu=0.1 has a moment (m+mu+nu > 0) but m+2mu+2nu < 0
     mask_path = tmp_path / "obj.csv"

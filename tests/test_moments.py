@@ -241,8 +241,11 @@ def test_order_alone_matches_order_in_six_order_run(small_run, wide_run):
 def test_worker_count_bitwise_identical(small_run, wide_run, monkeypatch):
     orders = [MomentOrder(mu, 0.5) for mu in (-1.414, 0.618)]
     # 30000 letter-A frames make 4 default shards; the 2000 wide frames
-    # need smaller ones
-    for (_, samples), shard_size in ((small_run, moments._SHARD_SIZE), (wide_run, 512)):
+    # need smaller ones; 469 shards of 64 frames span four windows of the
+    # four-worker pool, the last one partly filled
+    for (_, samples), shard_size in (
+        (small_run, moments._SHARD_SIZE), (wide_run, 512), (small_run, 64),
+    ):
         monkeypatch.setattr(moments, "_SHARD_SIZE", shard_size)
         one = multi_order_pass(samples, orders, workers=1)
         four = multi_order_pass(samples, orders, workers=4)
@@ -329,13 +332,36 @@ def test_pass_memory_does_not_grow_with_shard_count(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+def test_pass_holds_a_bounded_number_of_shards(monkeypatch, workers):
+    # a pool handed every shard at once keeps a future and its sums for
+    # each shard not yet merged, about 3.2 KB a shard here (6.6 MB over
+    # 2048 shards); handed a window of 32 shards per worker at a time, it
+    # holds about 0.4 MB however many shards the pass has
+    monkeypatch.setattr(moments, "_SHARD_SIZE", 64)
+    mask = block_mask(2)
+    orders = [MomentOrder(0.618, 0.5)]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n_shards in (4, 2048):
+            samples = SampleSet(SpeckleConfig(i0=1.0, seed=7, n=mask.n), mask, 64 * n_shards)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            multi_order_pass(samples, orders, workers=workers)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2_000_000
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 def test_null_pairing_memory_does_not_grow_with_n(monkeypatch, workers):
     # a null-pairing pass draws one extra frame per batch for the batch's
     # last bucket and keeps no per-frame array: on a 12-unit mask with
     # class-averaging columns, 128 shards peak about where 4 do. A copy of
     # all N buckets would add 8 bytes a frame, 16 while it rolls (3.2-3.6
     # MB here); the bound, 4 bytes a frame of the larger pass (1 MB), leaves
-    # room for the 128 futures a two-worker pass submits at once (0.3 MB)
+    # room for the window of 64 shards a two-worker pass holds (0.15 MB)
     monkeypatch.setattr(moments, "_SHARD_SIZE", 2048)
     mask = block_mask(5)
     groups = metrics.class_average_matrix(classify_units(mask))
