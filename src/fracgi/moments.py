@@ -14,7 +14,9 @@ sums are added to the total in shard-index order as they arrive, so results
 do not depend on the worker count. A worker pool is handed the shards in
 windows of 32 per worker, so memory does not grow with N at any worker
 count, also under null pairing, where each batch draws one more frame for
-its last bucket.
+its last bucket. Every product goes through np.dot, which releases the
+GIL: @ keeps it on letter A's 2048 x 49 batches, two-row products like
+[b; b^2] @ R included, so workers would take turns; new products need it too.
 
 Given a unit-to-group matrix P, the pass reduces per-frame group values
 y_f = I_B^mu * sum_i P[i, c] I_i^nu instead of pixels; with class-averaging
@@ -170,15 +172,32 @@ class _Sums:
             for j, nu in enumerate(self.nus):
                 r = _power(refs, nu, scratch)
                 if groups is not None:
-                    r = r @ groups
+                    r = np.dot(r, groups)
                 self.ref[j] += r.sum(axis=0)
                 for i in self.rows[j]:
-                    self.joint[i] += b[i] @ r
+                    self.joint[i] += np.dot(b[i], r)
                 np.square(r, out=r)
                 for i in self.rows[j]:
-                    self.joint2[i] += b2[i] @ r
+                    self.joint2[i] += np.dot(b2[i], r)
             self.bucket += b.sum(axis=1)
             self.bucket2 += b2.sum(axis=1)
+        self.n += buckets.size
+        self._require_finite()
+
+    def merge(self, other: "_Sums") -> "_Sums":
+        """Fold another shard's sums into these (call in shard order)."""
+        with np.errstate(over="ignore"):  # detected below and raised as DomainError
+            self.joint += other.joint
+            self.joint2 += other.joint2
+            self.ref += other.ref
+            self.bucket += other.bucket
+            self.bucket2 += other.bucket2
+        self.n += other.n
+        self._require_finite()
+        return self
+
+    def _require_finite(self) -> None:
+        # a joint, reference or bucket sum overflows only if a squared one does
         finite = np.isfinite(self.joint2).all(axis=1) & np.isfinite(self.bucket2)
         if not finite.all():
             order = self.orders[int(np.argmin(finite))]
@@ -186,17 +205,6 @@ class _Sums:
                 f"non-finite power at orders (mu={order.mu}, nu={order.nu}): "
                 "order/scale mismatch (power overflow)"
             )
-        self.n += buckets.size
-
-    def merge(self, other: "_Sums") -> "_Sums":
-        """Fold another shard's sums into these (call in shard order)."""
-        self.joint += other.joint
-        self.joint2 += other.joint2
-        self.ref += other.ref
-        self.bucket += other.bucket
-        self.bucket2 += other.bucket2
-        self.n += other.n
-        return self
 
     def finalize(self, width: int, height: int) -> list[GhostImage]:
         """One normalized ghost image with raw moment estimates per order."""

@@ -493,11 +493,15 @@ def test_validate_skips_infinite_variance_rows(capsys):
     assert lines[-1] == "no check failed; 3 skipped (infinite estimator variance)"
 
 
-@pytest.mark.parametrize("command", ["validate", "simulate"])
-def test_power_overflow_is_a_domain_error(tmp_path, command):
-    argv = [command, "--n-samples", "4000", "--orders=150:0.5"]
-    if command == "simulate":
-        argv += ["--out", str(tmp_path / "run")]
+@pytest.mark.parametrize("argv", [
+    ["validate", "--n-samples", "4000", "--orders=150:0.5"],
+    ["simulate", "--n-samples", "4000", "--orders=150:0.5"],
+    # each of the two 8192-frame shards' sums is finite, their total is not
+    ["simulate", "--i0", "5.7e59", "--orders=2:0.5", "--n-samples", "16384", "--seed", "1"],
+], ids=["validate", "simulate", "shard-merge"])
+def test_power_overflow_is_a_domain_error(tmp_path, argv):
+    if argv[0] == "simulate":
+        argv = [*argv, "--out", str(tmp_path / "run")]
     env = dict(os.environ, PYTHONPATH=str(Path(fracgi.__file__).parents[1]))
     env.pop("PYTHONWARNINGS", None)
     proc = subprocess.run(
@@ -507,3 +511,4 @@ def test_power_overflow_is_a_domain_error(tmp_path, command):
     assert proc.returncode == 3
     assert proc.stderr.startswith("domain error: non-finite power")
     assert "RuntimeWarning" not in proc.stderr
+    assert not list((tmp_path / "run").glob("*"))

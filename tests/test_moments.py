@@ -95,6 +95,19 @@ def test_power_overflow_names_first_overflowing_order():
         _Sums(orders, 1).add_batch(*frame([1.0], 1e-300))
 
 
+@pytest.mark.filterwarnings("error")
+def test_merge_overflow_raises():
+    # each one-frame shard's joint2 is 1e308, just below the largest double;
+    # their sum is not
+    order = MomentOrder(mu=2.0, nu=0.5)
+    left, right = _Sums([order], 1), _Sums([order], 1)
+    for sums in (left, right):
+        sums.add_batch(*frame([1.0], 1e77))
+    assert np.isfinite(left.joint2).all()
+    with pytest.raises(DomainError, match=r"mu=2\.0, nu=0\.5"):
+        left.merge(right)
+
+
 # -- merge associativity -----------------------------------------------------
 
 
@@ -242,16 +255,20 @@ def test_worker_count_bitwise_identical(small_run, wide_run, monkeypatch):
     orders = [MomentOrder(mu, 0.5) for mu in (-1.414, 0.618)]
     # 30000 letter-A frames make 4 default shards; the 2000 wide frames
     # need smaller ones; 469 shards of 64 frames span four windows of the
-    # four-worker pool, the last one partly filled
-    for (_, samples), shard_size in (
-        (small_run, moments._SHARD_SIZE), (wide_run, 512), (small_run, 64),
+    # four-worker pool, the last one partly filled; the last pass is
+    # validate's: class averages under null pairing, over 30 shards
+    classes = metrics.class_average_matrix(classify_units(small_run[0]))
+    for (_, samples), shard_size, groups, null_pairing in (
+        (small_run, moments._SHARD_SIZE, None, False), (wide_run, 512, None, False),
+        (small_run, 64, None, False), (small_run, 1024, classes, True),
     ):
         monkeypatch.setattr(moments, "_SHARD_SIZE", shard_size)
-        one = multi_order_pass(samples, orders, workers=1)
-        four = multi_order_pass(samples, orders, workers=4)
+        one, four = (multi_order_pass(samples, orders, workers=workers, groups=groups,
+                                      null_pairing=null_pairing) for workers in (1, 4))
         for a, b in zip(one, four):
             assert np.array_equal(a.g, b.g)
             assert np.array_equal(a.joint_mean, b.joint_mean)
+            assert np.array_equal(a.joint2_mean, b.joint2_mean)
             assert a.bucket_mean == b.bucket_mean
 
 
