@@ -27,7 +27,6 @@ from .theory import (
     DomainError,
     GammaMixtureModel,
     bucket_pdf_general,
-    joint_pdf_binary,
     moment_general,
     predict,
     validity_domain,

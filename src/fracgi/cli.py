@@ -1,5 +1,9 @@
 """Command-line front end: simulate, predict, sweep, validate.
 
+Orders are mu:nu pairs with mu != 0 and nu > 0. ``simulate`` and
+``validate`` run their pass on ``--workers`` threads (default 1), the one
+worker setting; the outputs do not depend on it.
+
 Exit codes: 0 success, 1 runtime/validation failure, 2 usage error,
 3 mathematical domain error.
 """
@@ -9,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,8 +27,6 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-
-WORKERS_ENV = "FRACGI_WORKERS"
 
 # the six-order reconstruction grid used by the validation command
 DEFAULT_ORDERS = "-2.7183:0.5,-1.414:0.5,-0.618:0.5,0.618:0.5,1.414:0.5,2.7183:0.5"
@@ -44,22 +45,7 @@ def builtin_mask(m: int = 20) -> ObjectMask:
     return letter_a_mask() if m == 20 else block_mask(m)
 
 
-def _resolve_workers(flag: int | None) -> int:
-    """Worker count: the --workers flag, otherwise FRACGI_WORKERS, otherwise 1."""
-    if flag is None:
-        source, raw = WORKERS_ENV, os.environ.get(WORKERS_ENV, "1")
-    else:
-        source, raw = "--workers", flag
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"{source} must be an integer, got {raw!r}")
-    if value < 1:
-        raise UsageError(f"{source} must be positive, got {value}")
-    return value
-
-
-def _parse_orders(text: str, allow_negative_nu: bool) -> list[moments.MomentOrder]:
+def _parse_orders(text: str) -> list[moments.MomentOrder]:
     pairs = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -74,11 +60,7 @@ def _parse_orders(text: str, allow_negative_nu: bool) -> list[moments.MomentOrde
             raise UsageError(f"--orders entry {chunk!r} is not numeric")
         if mu == 0:
             raise UsageError("--orders: mu = 0 is not allowed (constant image)")
-        try:
-            pairs.append(moments.MomentOrder(mu, nu, allow_small_negative_nu=allow_negative_nu))
-        except theory.DomainError as exc:  # the opt-in keyword is a flag here
-            reason = str(exc).replace("allow_small_negative_nu", "simulate's --unsafe-negative-nu")
-            raise theory.DomainError(reason) from exc
+        pairs.append(moments.MomentOrder(mu, nu))
     if not pairs:
         raise UsageError("--orders is empty")
     return pairs
@@ -118,17 +100,19 @@ def _load_mask(args) -> ObjectMask:
 
 def cmd_simulate(args) -> int:
     mask = _load_mask(args)
-    orders = _parse_orders(args.orders, args.unsafe_negative_nu)
+    orders = _parse_orders(args.orders)
     classes = classify_units(mask)
     flags = [theory.require_moment(mask, o.mu, o.nu) for o in orders]
     if args.n_samples < 2:
         raise UsageError("--n-samples must be at least 2")
     config = speckle.SpeckleConfig(i0=args.i0, seed=args.seed, n=mask.n)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     samples = speckle.SampleSet(config=config, mask=mask, n_frames=args.n_samples)
     images = moments.multi_order_pass(samples, orders, workers=args.workers)
+
+    # made only now, so a run refused before or inside the pass leaves no directory
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
     for idx, (order, image, order_flags) in enumerate(zip(orders, images, flags), start=1):
@@ -221,7 +205,7 @@ def cmd_validate(args) -> int:
         raise UsageError("--n-samples must be at least 2")
     mask = builtin_mask(args.m)
     classes = classify_units(mask)
-    orders = _parse_orders(args.orders, allow_negative_nu=False)
+    orders = _parse_orders(args.orders)
     for order in orders:
         theory.require_moment(args.m, order.mu, order.nu)
     config = speckle.SpeckleConfig(i0=args.i0, seed=args.seed, n=mask.n)
@@ -288,9 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--orders", required=True, help="comma-separated mu:nu pairs")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--workers", type=int, default=None)
-    sim.add_argument("--unsafe-negative-nu", action="store_true",
-                     help="admit nu in (-1/2, 0] (heavy-tailed estimates)")
+    sim.add_argument("--workers", type=int, default=1, help="threads for the pass")
     sim.set_defaults(func=cmd_simulate)
 
     pred = sub.add_parser("predict", help="closed-form predictions for binary masks")
@@ -316,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     val.add_argument("--orders", default=DEFAULT_ORDERS)
     val.add_argument("--null-pairing", action="store_true",
                      help="decorrelate bucket/reference pairing (contrast must vanish)")
-    val.add_argument("--workers", type=int, default=None)
+    val.add_argument("--workers", type=int, default=1, help="threads for the pass")
     val.set_defaults(func=cmd_validate)
 
     return parser
@@ -326,8 +308,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "workers"):
-            args.workers = _resolve_workers(args.workers)
+        if getattr(args, "workers", 1) < 1:
+            raise UsageError(f"--workers must be positive, got {args.workers}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,9 @@ its last bucket. Every product goes through np.dot, which releases the
 GIL: @ keeps it on letter A's 2048 x 49 batches, two-row products like
 [b; b^2] @ R included, so workers would take turns; new products need it too.
 
+Orders are the paper's: mu of either sign but not 0, and nu > 0 (see
+MomentOrder); the closed forms in ``theory`` also cover nu in (-1, 0].
+
 Given a unit-to-group matrix P, the pass reduces per-frame group values
 y_f = I_B^mu * sum_i P[i, c] I_i^nu instead of pixels; with class-averaging
 columns these are the class statistics ``fracgi validate`` checks.
@@ -28,7 +31,6 @@ from __future__ import annotations
 import functools
 import itertools
 import queue
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -36,7 +38,6 @@ import numpy as np
 
 from .objects import DomainError
 from .speckle import SampleSet, TINY_INTENSITY
-from .theory import violations
 
 __all__ = [
     "MomentOrder",
@@ -58,29 +59,23 @@ _WINDOW = 32
 class MomentOrder:
     """Fractional order pair (mu for the bucket, nu for the reference).
 
-    mu = 0 is rejected: the image would be identically <I_i^nu> with no
-    object dependence. nu must be positive by default; nu in (-1/2, 0] is
-    admitted only via ``allow_small_negative_nu`` (estimates get heavy
-    tails), and nu <= -1/2 is always refused because the estimator
-    variance is infinite there (the existence table's rows at m = inf).
+    mu may take either sign, but mu = 0 is rejected: the image would be
+    identically <I_i^nu> with no object dependence. nu must be positive,
+    as the paper requires of the reference order: nu = 0 degenerates the
+    same way, and from nu <= -1/2 on the estimator variance is infinite.
     """
 
     mu: float
     nu: float
-    allow_small_negative_nu: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.mu) and np.isfinite(self.nu)):
             raise DomainError("orders must be finite")
         if self.mu == 0:
             raise DomainError("mu = 0 is rejected: the image degenerates to a constant")
-        if reasons := violations("signal variance", np.inf, self.mu, self.nu):
-            raise DomainError(f"estimator variance is infinite ({'; '.join(reasons)})")
-        if self.nu <= 0 and not self.allow_small_negative_nu:
-            raise DomainError(f"nu = {self.nu} <= 0 requires allow_small_negative_nu")
         if self.nu <= 0:
-            warnings.warn(f"nu = {self.nu} <= 0: heavy-tailed estimates, expect slow convergence",
-                          stacklevel=3)  # past the dataclass-made __init__, to the caller
+            raise DomainError(
+                f"nu = {self.nu:g} is rejected: the reference order must be positive")
 
 
 def _power(values: np.ndarray, exponent: float,

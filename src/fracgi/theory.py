@@ -13,9 +13,8 @@ with G the Gamma function; peak SNR combines the order-doubled moment with
 the squared signal moment and the sampling count. Every bucket law is one
 GammaMixtureModel: a mixture of Gamma laws with nonnegative weights (the
 sum of one Gamma law per transmittance level), whose one-term case is the
-binary Erlang density above; the binary joint density is the Erlang law
-of the other units times the pixel's exponential. General moments are one
-trapezoidal sum over the joint bucket/reference Laplace transform.
+binary Erlang density above. General moments are one trapezoidal sum
+over the joint bucket/reference Laplace transform.
 
 Everything is evaluated in log space with one final exponentiation; the
 Gamma ratios overflow doubles long before the results do. One private
@@ -48,7 +47,6 @@ __all__ = [
     "require_moment",
     "predict",
     "GammaMixtureModel",
-    "joint_pdf_binary",
     "bucket_pdf_general",
     "moment_general",
 ]
@@ -299,11 +297,6 @@ class GammaMixtureModel:
         return np.clip(np.asarray(x, dtype=float) / self.scale, 0.0, np.finfo(float).max)
 
 
-def _erlang(shape: int, scale: float) -> GammaMixtureModel:
-    """Gamma(shape, scale) law of a sum of shape i.i.d. exponentials: one term."""
-    return GammaMixtureModel(scale=scale, shape=shape, weights=np.ones(1), mean=shape * scale)
-
-
 def _log_poisson_term(t: int, y, log_y):
     """log d_t(y); from t = _STIRLING on as t (log1p(x) - x) - log(2 pi t)/2 -
     (Stirling tail of log t!), x = y/t - 1, free of t*log(y)'s round-off."""
@@ -341,27 +334,6 @@ def _poisson_sum(y, t0: int, coef: np.ndarray):
     return out.reshape(np.shape(y)) if np.ndim(y) else float(out[0])
 
 
-def joint_pdf_binary(m: int, i0: float, i_b, i_i, t_i: int):
-    """Joint bucket/reference density for binary masks.
-
-    The units are independent, so the bucket is t_i*I_i plus an independent
-    Erlang(m - t_i, I0) remainder: the density is the remainder's at
-    i_b - t_i*i_i times the pixel's exponential density. For t_i = 1 it
-    vanishes off i_i <= i_b (the pixel is one summand of the bucket).
-    """
-    i_b, i_i = np.asarray(i_b, dtype=float), np.asarray(i_i, dtype=float)
-    _check(not (np.any(i_b < 0) or np.any(i_i < 0)), "intensities must be nonnegative")
-    _check(t_i in (0, 1), "t_i must be 0 or 1 for the binary joint density")
-    _check(m - t_i >= 1, f"t={t_i} joint density requires m >= {1 + t_i}")
-    _check(0 < i0 < math.inf, "i0 must be positive and finite")
-    # the pixel's own density is 0 at i_i = inf, whatever inf - inf gave
-    with np.errstate(invalid="ignore"):
-        remainder = i_b - i_i if t_i else i_b
-    out = _erlang(m - t_i, i0).pdf(remainder) * np.exp(-i_i / i0) / i0
-    out = np.where(np.isinf(i_i), 0.0, out)
-    return out if out.ndim else float(out)
-
-
 def bucket_pdf_general(mask: ObjectMask, i0: float):
     """Bucket density of any mask as a GammaMixtureModel: one Erlang term for
     one nonzero level, otherwise the Gamma mixture of the sum of independent
@@ -379,8 +351,10 @@ def bucket_pdf_general(mask: ObjectMask, i0: float):
     nonzero = mask.units[mask.units > 0]
     _check(nonzero.size > 0, "all-zero mask has no bucket distribution")
     taus, counts = np.unique(nonzero, return_counts=True)
-    if taus.size == 1:
-        return _erlang(int(counts[0]), i0 * float(taus[0]))
+    if taus.size == 1:  # Erlang: a sum of k i.i.d. exponentials, one Gamma term
+        shape, scale = int(counts[0]), i0 * float(taus[0])
+        return GammaMixtureModel(scale=scale, shape=shape, weights=np.ones(1),
+                                 mean=shape * scale)
 
     k = counts.astype(float)
     p = taus[0] / taus  # theta / a_j

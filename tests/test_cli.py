@@ -25,6 +25,20 @@ def tree_bytes(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+@pytest.fixture
+def workers_seen(monkeypatch):
+    """The worker count of every pass the CLI runs, in order."""
+    seen = []
+    real_pass = cli.moments.multi_order_pass
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["workers"])
+        return real_pass(*args, **kwargs)
+
+    monkeypatch.setattr(cli.moments, "multi_order_pass", spy)
+    return seen
+
+
 # -- predict -----------------------------------------------------------------
 
 
@@ -193,22 +207,18 @@ def test_simulate_nu_too_negative_domain_error(tmp_path, capsys):
         "--seed", "1", "--out", str(tmp_path / "x"),
     )
     assert code == 3
-    assert "variance" in err
+    assert err == "domain error: nu = -0.6 is rejected: the reference order must be positive\n"
 
 
-def test_simulate_small_negative_nu_needs_the_unsafe_flag(tmp_path, capsys):
-    argv = ["simulate", "--n-samples", "2000", "--orders=1:-0.2", "--seed", "1"]
-    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "refused"))
-    assert code == 3
-    assert "--unsafe-negative-nu" in err and "allow_small_negative_nu" not in err
-    assert not (tmp_path / "refused").exists()
-    with pytest.warns(UserWarning, match="heavy-tailed") as caught:
-        code, _, _ = run(capsys, *argv, "--unsafe-negative-nu", "--out", str(tmp_path / "run"))
-    assert code == 0
-    # the warning names the code that built the order, not the dataclass __init__
-    assert [w.filename for w in caught] == [cli.__file__]
-    result, = read_report(tmp_path / "run" / "report.json").results
-    assert result.nu == -0.2 and result.v_empirical is not None
+@pytest.mark.parametrize("command, nu", [("simulate", "0"), ("validate", "-0.2")])
+def test_nonpositive_nu_is_refused_and_writes_nothing(tmp_path, capsys, command, nu):
+    argv = [command, "--n-samples", "2000", f"--orders=1:{nu}", "--seed", "1"]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "x")]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"domain error: nu = {nu} is rejected: the reference order must be positive\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_simulate_missing_object_usage_error(tmp_path, capsys):
@@ -239,27 +249,24 @@ def test_simulate_bad_seed_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-def test_workers_flag_and_env_validation(tmp_path, capsys, monkeypatch):
+def test_workers_flag_and_env_validation(tmp_path, capsys):
     args = ["simulate", "--n-samples", "100", "--orders", "1:1", "--seed", "1",
             "--out", str(tmp_path / "x")]
     code, _, err = run(capsys, *args, "--workers", "0")
-    assert code == 2 and "--workers must be positive" in err
-    for raw, message in (("0", "FRACGI_WORKERS must be positive"),
-                         ("two", "FRACGI_WORKERS must be an integer")):
-        monkeypatch.setenv("FRACGI_WORKERS", raw)
-        code, _, err = run(capsys, *args)
-        assert code == 2 and message in err
-    # the flag wins over the environment
+    assert code == 2 and err == "error: --workers must be positive, got 0\n"
+    assert not (tmp_path / "x").exists()
     code, _, _ = run(capsys, *args, "--workers", "1")
     assert code == 0
 
 
-def test_workers_env_override(tmp_path, capsys, monkeypatch):
+def test_workers_env_override(tmp_path, capsys, monkeypatch, workers_seen):
+    # --workers is the one worker setting: the environment neither changes nor refuses a run
     args = ["simulate", "--n-samples", "2000", "--orders", "1:1", "--seed", "2"]
     code, _, _ = run(capsys, *args, "--out", str(tmp_path / "a"))
-    monkeypatch.setenv("FRACGI_WORKERS", "3")
-    code2, _, _ = run(capsys, *args, "--out", str(tmp_path / "b"))
-    assert code == code2 == 0
+    monkeypatch.setenv("FRACGI_WORKERS", "0")
+    code2, _, err = run(capsys, *args, "--out", str(tmp_path / "b"))
+    assert code == code2 == 0 and err == ""
+    assert workers_seen == [1, 1]
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
 
@@ -450,23 +457,13 @@ def test_validate_custom_orders(capsys):
     assert out.count("PASS") == 2
 
 
-def test_validate_honours_workers(capsys, monkeypatch):
-    seen = []
-    real_pass = cli.moments.multi_order_pass
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs["workers"])
-        return real_pass(*args, **kwargs)
-
-    monkeypatch.setattr(cli.moments, "multi_order_pass", spy)
+def test_validate_honours_workers(capsys, workers_seen):
     outputs = []
-    for flags, env in ((["--workers", "1"], None), (["--workers", "2"], None), ([], "2")):
-        if env is not None:
-            monkeypatch.setenv("FRACGI_WORKERS", env)
+    for flags in (["--workers", "1"], ["--workers", "2"], []):
         code, out, _ = run(capsys, "validate", *flags)
         assert code == 0
         outputs.append(out)
-    assert seen == [1, 2, 2]
+    assert workers_seen == [1, 2, 1]
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0].count("PASS") == 12
 
@@ -511,4 +508,4 @@ def test_power_overflow_is_a_domain_error(tmp_path, argv):
     assert proc.returncode == 3
     assert proc.stderr.startswith("domain error: non-finite power")
     assert "RuntimeWarning" not in proc.stderr
-    assert not list((tmp_path / "run").glob("*"))
+    assert not (tmp_path / "run").exists()  # not even an empty directory

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -39,17 +40,17 @@ def test_mu_zero_rejected():
 def test_nu_below_minus_half_always_rejected():
     with pytest.raises(DomainError):
         MomentOrder(mu=1.0, nu=-0.6)
-    with pytest.raises(DomainError):
-        MomentOrder(mu=1.0, nu=-0.5, allow_small_negative_nu=True)
 
 
 def test_small_negative_nu_gated():
-    with pytest.raises(DomainError):
-        MomentOrder(mu=1.0, nu=-0.2)
-    with pytest.warns(UserWarning) as caught:
-        order = MomentOrder(mu=1.0, nu=-0.2, allow_small_negative_nu=True)
-    assert order.nu == -0.2
-    assert caught[0].filename == __file__
+    # the paper's rule: the reference order must be positive; no keyword admits others
+    for nu in (0.0, -0.2):
+        with pytest.raises(DomainError, match=f"^nu = {nu:g} is rejected: the reference "
+                                              "order must be positive$"):
+            MomentOrder(1.0, nu)
+        with pytest.raises(TypeError):
+            MomentOrder(1.0, nu, allow_small_negative_nu=True)
+    assert [f.name for f in dataclasses.fields(MomentOrder)] == ["mu", "nu"]
 
 
 def test_positive_nu_no_warning():

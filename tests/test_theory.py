@@ -22,7 +22,6 @@ from fracgi.theory import (
     GammaMixtureModel,
     QuadratureError,
     bucket_pdf_general,
-    joint_pdf_binary,
     moment_general,
     predict,
     validity_domain,
@@ -318,8 +317,6 @@ def test_erlang_density_vanishes_at_infinity(m):
     assert [model.cdf(x) for x in xs] == cdf
     np.testing.assert_array_equal(model.pdf(np.array(xs)), pdf)
     np.testing.assert_array_equal(model.cdf(np.array(xs)), cdf)
-    assert joint_pdf_binary(m, 1.0, np.inf, 0.5, 0) == 0.0
-    assert joint_pdf_binary(m + 1, 1.0, np.inf, np.inf, 1) == 0.0  # inf - inf
 
 
 def test_erlang_mode():
@@ -333,33 +330,6 @@ def test_erlang_normalization_and_cdf():
     total, _ = quad(lambda x: model.pdf(np.array([x]))[0], 0, np.inf)
     assert total == pytest.approx(1.0, abs=1e-9)
     assert model.cdf(np.array([1e4]))[0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_joint_pdf_support_constraint():
-    assert joint_pdf_binary(5, 1.0, 2.0, 2.5, 1) == 0.0
-    # at i_i = i_b only m = 2 leaves mass: the one other unit is exactly 0
-    assert joint_pdf_binary(2, 2.0, 1.5, 1.5, 1) == pytest.approx(math.exp(-0.75) / 4, rel=1e-15)
-    assert joint_pdf_binary(3, 2.0, 1.5, 1.5, 1) == 0.0
-    assert joint_pdf_binary(3, 1.0, np.inf, np.inf, 1) == 0.0
-
-
-def test_joint_pdf_background_factorizes():
-    val = joint_pdf_binary(5, 1.0, 3.0, 0.7, 0)
-    bucket = 3.0**4 * math.exp(-3.0) / math.factorial(4)
-    assert val == pytest.approx(bucket * math.exp(-0.7), rel=1e-12)
-
-
-@pytest.mark.parametrize("m", [2, 5, 20])
-def test_joint_pdf_marginalizes_to_bucket_pdf(m):
-    for i_b in (0.8, float(m), 2.0 * m):
-        val, _ = quad(lambda ii: float(joint_pdf_binary(m, 1.0, i_b, ii, 1)), 0, i_b)
-        target = float(stats.gamma(m).pdf(i_b))
-        assert val == pytest.approx(target, rel=1e-9)
-
-
-def test_joint_pdf_m1_signal_rejected():
-    with pytest.raises(DomainError):
-        joint_pdf_binary(1, 1.0, 1.0, 0.5, 1)
 
 
 # -- general bucket law ------------------------------------------------------
