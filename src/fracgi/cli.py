@@ -58,8 +58,6 @@ def _parse_orders(text: str) -> list[moments.MomentOrder]:
             mu, nu = float(parts[0]), float(parts[1])
         except ValueError:
             raise UsageError(f"--orders entry {chunk!r} is not numeric")
-        if mu == 0:
-            raise UsageError("--orders: mu = 0 is not allowed (constant image)")
         pairs.append(moments.MomentOrder(mu, nu))
     if not pairs:
         raise UsageError("--orders is empty")
@@ -181,18 +179,17 @@ def cmd_sweep(args) -> int:
     if not mu_values or not nu_values:
         raise UsageError("sweep grid is empty")
 
-    # a mu column against a nu row: each m+mu and m+nu is evaluated once
-    mu_col, nu_row = np.array(mu_values)[:, None], np.array(nu_values)
-    mu_grid, nu_grid = (g.ravel().tolist() for g in np.broadcast_arrays(mu_col, nu_row))
+    # flat (mu, nu) cells, mu-major; the evaluator sees only in-domain cells
+    mu_grid, nu_grid = (g.ravel() for g in np.meshgrid(mu_values, nu_values, indexing="ij"))
     rows = []
     for m in m_values:
-        moment_ok = theory.exists("moment", m, mu_col, nu_row)
-        variance_ok = moment_ok & theory.exists("signal variance", m, mu_col, nu_row)
-        v, rp = np.full(moment_ok.shape, None), np.full(moment_ok.shape, None)
+        moment_ok = theory.exists("moment", m, mu_grid, nu_grid)
+        variance_ok = moment_ok & theory.exists("signal variance", m, mu_grid, nu_grid)
+        v, rp = np.full(mu_grid.size, None), np.full(mu_grid.size, None)
         _, _, v[moment_ok], rp[variance_ok] = theory._closed_forms(
-            m, mu_col, nu_row, variance=variance_ok, cells=moment_ok)
-        rows += zip([m] * v.size, mu_grid, nu_grid, v.ravel(), rp.ravel(),
-                    moment_ok.ravel(), variance_ok.ravel())
+            m, mu_grid[moment_ok], nu_grid[moment_ok], variance=variance_ok[moment_ok])
+        rows += zip([m] * v.size, mu_grid.tolist(), nu_grid.tolist(), v, rp,
+                    moment_ok, variance_ok)
     reports.write_sweep_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
@@ -311,10 +308,7 @@ def main(argv=None) -> int:
         if getattr(args, "workers", 1) < 1:
             raise UsageError(f"--workers must be positive, got {args.workers}")
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MaskError as exc:
+    except (UsageError, MaskError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except theory.DomainError as exc:

@@ -57,7 +57,7 @@ class SpeckleConfig:
             raise ValueError("unit count n must be at least 1")
         integral = isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
         if not (integral and 0 <= operator.index(self.seed) < 2**64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
+            raise DomainError("seed must be a 64-bit unsigned integer")
         object.__setattr__(self, "seed", operator.index(self.seed))
 
 

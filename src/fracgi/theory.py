@@ -19,11 +19,11 @@ over the joint bucket/reference Laplace transform.
 Everything is evaluated in log space with one final exponentiation; the
 Gamma ratios overflow doubles long before the results do. One private
 evaluator gives all four binary closed forms from the eight distinct
-log-Gammas of an order pair, or of a grid of them, where it evaluates
-each distinct argument once and none outside the existence domain. It has
-two doors: ``predict`` for one order pair and ``fracgi sweep`` for a grid,
-whose values agree bit for bit; ``fracgi validate`` takes its moment
-targets from it too.
+log-Gammas of an order pair, or of the flat in-domain cells of a grid,
+where it evaluates each distinct value once. It has two doors:
+``predict`` for one order pair and ``fracgi sweep`` for a grid, whose
+values agree bit for bit; ``fracgi validate`` takes its moment targets
+from it too.
 """
 
 from __future__ import annotations
@@ -112,58 +112,49 @@ def _check(condition, reason: str) -> None:
         raise DomainError(reason)
 
 
-def _lgamma_at(x, cells):
-    """log Gamma of x: of a scalar x when ``cells`` is None, else at the
-    true cells of the mask ``cells``, which x broadcasts to, as one flat
-    array in C order. Each element of x is evaluated once, and only if a
-    true cell uses it."""
-    if cells is None:
+def _log_gamma(x):
+    """log Gamma of a scalar, or of an array with each distinct value
+    evaluated once and gathered back."""
+    if not isinstance(x, np.ndarray):
         return _lgamma(x)
-    x = np.asarray(x, dtype=float)
-    x = x.reshape((1,) * (cells.ndim - x.ndim) + x.shape)
-    spread = tuple(i for i, n in enumerate(x.shape) if n == 1 < cells.shape[i])
-    used = cells.any(axis=spread, keepdims=True)
-    out = np.zeros(x.shape)
-    out[used] = _lgamma(x[used])
-    return np.broadcast_to(out, cells.shape)[cells]
+    values, inverse = np.unique(x, return_inverse=True)
+    return _lgamma(values).astype(float)[inverse.reshape(x.shape)]
 
 
-def _closed_forms(m, mu, nu, i0=1.0, variance=False, cells=None):
+def _closed_forms(m, mu, nu, i0=1.0, variance=False):
     """(moment_background, moment_signal, visibility, R_p/sqrt(N)) of a
     binary mask at orders whose moments exist; R_p/sqrt(N) is None when
     ``variance`` is False, and otherwise needs the signal variance to exist.
 
-    Scalar orders (``cells`` None, ``variance`` a bool) give scalars. Array
-    orders are evaluated at the true cells of ``cells``, a mask of their
-    broadcast shape, and R_p/sqrt(N) at those of the mask ``variance``,
-    inside ``cells``; each result is flat over its cells in C order.
+    Scalar orders (``variance`` a bool) give scalars. Orders given as two
+    arrays of one shape, such as the in-domain cells of a grid, give arrays
+    of that shape, and R_p/sqrt(N) only at the true cells of ``variance``,
+    a mask of that shape, as one flat array.
 
-    Each distinct log-Gamma argument is evaluated once. With a = lgG(m+mu+nu),
+    Each distinct log-Gamma value is evaluated once. With a = lgG(m+mu+nu),
     b = lgG(m+mu), c = lgG(m+nu), d = lgG(m) and e = lgG(1+nu), the moments
     are exp((a+e)-c) and exp((b+e)-d) times I0^(mu+nu), and V = |tanh(D/2)|,
     D = (a-b)-(c-d) the log of their ratio: two differences that each
     cancel exactly at nu = 0, where V = 0, so no Gamma product materializes.
     """
-    a, b = _lgamma_at(m + mu + nu, cells), _lgamma_at(m + mu, cells)
-    c, d, e = _lgamma_at(m + nu, cells), _lgamma_at(m, cells), _lgamma_at(1 + nu, cells)
+    a, b = _log_gamma(m + mu + nu), _log_gamma(m + mu)
+    c, d, e = _log_gamma(m + nu), _log_gamma(m), _log_gamma(1 + nu)
     ln_sig, ln_bg = (a + e) - c, (b + e) - d
-    order = mu + nu if cells is None else np.broadcast_to(mu + nu, cells.shape)[cells]
-    ln_i0 = order * math.log(i0)
+    ln_i0 = (mu + nu) * math.log(i0)
     v = np.abs(np.tanh(0.5 * ((a - b) - (c - d))))
     with np.errstate(over="ignore"):  # a moment past a double is inf; predict refuses it
         out = [np.exp(ln_bg + ln_i0), np.exp(ln_sig + ln_i0), v, None]
     if variance is False:
         return out
-    if cells is not None:
-        ln_sig, ln_bg = ln_sig[variance[cells]], ln_bg[variance[cells]]
-        cells = variance
+    if isinstance(variance, np.ndarray):
+        mu, nu, ln_sig, ln_bg = mu[variance], nu[variance], ln_sig[variance], ln_bg[variance]
     hi = np.maximum(ln_sig, ln_bg)
     lo = np.minimum(ln_sig, ln_bg)
     with np.errstate(divide="ignore"):  # nu = 0: equal moments, contrast 0
         ln_contrast = hi + np.log1p(-np.exp(lo - hi))
     # noise: order-doubled signal moment minus squared signal moment
-    ln_second = (_lgamma_at(m + 2 * mu + 2 * nu, cells) + _lgamma_at(1 + 2 * nu, cells)
-                 - _lgamma_at(m + 2 * nu, cells))
+    ln_second = (_log_gamma(m + 2 * mu + 2 * nu) + _log_gamma(1 + 2 * nu)
+                 - _log_gamma(m + 2 * nu))
     ln_square = 2.0 * ln_sig
     _check(ln_second > ln_square, "degenerate variance (second moment <= square)")
     ln_var = ln_second + np.log1p(-np.exp(ln_square - ln_second))
@@ -335,10 +326,11 @@ def _poisson_sum(y, t0: int, coef: np.ndarray):
 
 
 def bucket_pdf_general(mask: ObjectMask, i0: float):
-    """Bucket density of any mask as a GammaMixtureModel: one Erlang term for
-    one nonzero level, otherwise the Gamma mixture of the sum of independent
-    Gamma(k_j, a_j), a_j = I0*t_j over the distinct nonzero levels and k_j
-    their counts.
+    """Bucket density of any mask as a GammaMixtureModel: the Gamma mixture
+    of the sum of independent Gamma(k_j, a_j), a_j = I0*t_j over the
+    distinct nonzero levels and k_j their counts. One level is the Erlang
+    law Gamma(k, I0*t): g = 0 stops the recursion after one step, leaving
+    the one weight 1.
 
     With theta = min a_j, q_j = 1 - theta/a_j and rho = sum k_j, the bucket
     is Gamma(rho+N, theta), N = sum_j NegBin(k_j, theta/a_j). P(N = n) is
@@ -351,11 +343,6 @@ def bucket_pdf_general(mask: ObjectMask, i0: float):
     nonzero = mask.units[mask.units > 0]
     _check(nonzero.size > 0, "all-zero mask has no bucket distribution")
     taus, counts = np.unique(nonzero, return_counts=True)
-    if taus.size == 1:  # Erlang: a sum of k i.i.d. exponentials, one Gamma term
-        shape, scale = int(counts[0]), i0 * float(taus[0])
-        return GammaMixtureModel(scale=scale, shape=shape, weights=np.ones(1),
-                                 mean=shape * scale)
-
     k = counts.astype(float)
     p = taus[0] / taus  # theta / a_j
     q = 1.0 - p
@@ -367,7 +354,7 @@ def bucket_pdf_general(mask: ObjectMask, i0: float):
            f"terms (more than {_TERM_CAP}); use the Monte-Carlo path")
     size = math.ceil(terms)
     powers = np.arange(size, 0, -1)  # g_rev[size - i] = g_i
-    g_rev = sum(k_j * q_j**powers for q_j, k_j in zip(q[1:], k[1:]))
+    g_rev = sum((k_j * q_j**powers for q_j, k_j in zip(q[1:], k[1:])), np.zeros(size))
     delta = np.zeros(size + 1)
     delta[0] = peak = 1.0
     for n in range(1, size + 1):

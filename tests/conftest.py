@@ -18,15 +18,16 @@ def all_buckets(samples) -> np.ndarray:
 
 
 @pytest.fixture
-def lgamma_args(monkeypatch) -> list:
-    """Every argument fracgi.theory._lgamma is given during the test, one per element."""
+def lgamma_calls(monkeypatch) -> list:
+    """Every call of fracgi.theory._lgamma during the test, as the list of
+    the arguments it is given, one per element."""
     from fracgi import theory
 
     seen = []
     lgamma = theory._lgamma
 
     def recorded(x):
-        seen.extend(np.ravel(x).tolist())
+        seen.append(np.ravel(x).tolist())
         return lgamma(x)
 
     monkeypatch.setattr(theory, "_lgamma", recorded)

@@ -192,13 +192,15 @@ def test_simulate_omits_empirical_snr_of_infinite_variance_orders(tmp_path, caps
     assert light.rp_empirical > 0 and light.rp_analytic > 0
 
 
-def test_simulate_mu_zero_usage_error(tmp_path, capsys):
-    code, _, err = run(
-        capsys, "simulate", "--n-samples", "100", "--orders", "0:0.5",
-        "--seed", "1", "--out", str(tmp_path / "x"),
-    )
-    assert code == 2
-    assert "mu = 0" in err
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_mu_zero_is_a_domain_error_and_writes_nothing(tmp_path, capsys, command):
+    argv = [command, "--n-samples", "100", "--orders", "0:0.5", "--seed", "1"]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "x")]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "domain error: mu = 0 is rejected: the image degenerates to a constant\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_simulate_nu_too_negative_domain_error(tmp_path, capsys):
@@ -243,9 +245,10 @@ def test_bad_i0_is_a_domain_error_and_writes_nothing(tmp_path, capsys, command, 
 
 
 def test_simulate_bad_seed_writes_nothing(tmp_path, capsys):
-    code, _, err = run(capsys, "simulate", "--n-samples", "100", "--orders=1:1", "--seed=-1",
-                       "--out", str(tmp_path / "x"))
-    assert code == 1 and "seed must be a 64-bit unsigned integer" in err
+    code, out, err = run(capsys, "simulate", "--n-samples", "100", "--orders=1:1", "--seed=-1",
+                         "--out", str(tmp_path / "x"))
+    assert code == 3 and out == ""
+    assert err == "domain error: seed must be a 64-bit unsigned integer\n"
     assert not (tmp_path / "x").exists()
 
 
@@ -335,19 +338,20 @@ def test_sweep_matches_scalar_closed_forms(tmp_path, capsys):
     assert seen == {(True, True), (True, False), (False, False)}
 
 
-def test_sweep_takes_each_log_gamma_once_per_argument(tmp_path, capsys, lgamma_args):
-    # a mu column against a nu row: per m, the 1800 cells of m+mu+nu and of
-    # m+2mu+2nu, plus 60 m+mu, 4 x 30 nu-only arguments and m itself
+def test_sweep_takes_each_log_gamma_once_per_argument(tmp_path, capsys, lgamma_calls):
+    # each call evaluates distinct values: per m, the 1800 cells of m+mu+nu
+    # hold 157 or 158 of them, and the whole sweep 991
     code, _, _ = run(capsys, "sweep", "--m", "20,30", "--mu=-3:3:0.1", "--nu", "0.1:3:0.1",
                      "--out", str(tmp_path / "s.csv"))
     assert code == 0
-    assert len(lgamma_args) <= 2 * 4000
+    assert all(len(call) == len(set(call)) for call in lgamma_calls)
+    assert sum(map(len, lgamma_calls)) <= 1000
     # cells where a moment or its variance does not exist never reach log Gamma
-    lgamma_args.clear()
+    lgamma_calls.clear()
     code, _, _ = run(capsys, "sweep", "--m", "2,20", "--mu=-3:3:0.1", "--nu=-1:3:0.1",
                      "--out", str(tmp_path / "invalid.csv"))
     assert code == 0
-    assert lgamma_args and min(lgamma_args) > 0
+    assert lgamma_calls and min(min(call) for call in lgamma_calls) > 0
 
 
 def test_sweep_through_nu_zero_warns_nothing(tmp_path, capsys):

@@ -234,10 +234,11 @@ def test_predict_refuses_moments_past_a_double(mu, nu, i0):
     assert math.isfinite(predict(20, 150.0, 1.0, 120000).moment_signal)
 
 
-def test_predict_takes_each_log_gamma_once(lgamma_args):
+def test_predict_takes_each_log_gamma_once(lgamma_calls):
     # m+mu+nu, m+mu, m+nu, m, 1+nu and, for the variance, m+2mu+2nu, 1+2nu, m+2nu
     predict(20, -1.414, 0.5, 120000, 0.7)
-    assert len(lgamma_args) == len(set(lgamma_args)) == 8
+    args = [x for call in lgamma_calls for x in call]
+    assert len(args) == len(set(args)) == 8
 
 
 # -- validity domain ---------------------------------------------------------
@@ -265,9 +266,9 @@ def test_validity_from_grayscale_mask():
 # -- bucket densities --------------------------------------------------------
 
 
-def erlang(m, scale):
-    """Bucket law of m unit-transmittance units."""
-    return bucket_pdf_general(ObjectMask(width=m, height=1, units=np.ones(m)), scale)
+def erlang(m, i0, level=1.0):
+    """Bucket law of m units of one transmittance level."""
+    return bucket_pdf_general(ObjectMask(width=m, height=1, units=np.full(m, level)), i0)
 
 
 def test_erlang_m1_is_exponential():
@@ -276,12 +277,19 @@ def test_erlang_m1_is_exponential():
     np.testing.assert_allclose(model.pdf(xs), np.exp(-xs / 2.0) / 2.0, rtol=1e-12)
 
 
-@pytest.mark.parametrize("m", [1, 2, 5, 20, 200])
-@pytest.mark.parametrize("scale", [0.3, 2.5])
-def test_erlang_matches_scipy_gamma(m, scale):
+# (m, level, i0) by test id: unit-level masks, and three units at level 0.3
+ERLANG_CASES = {f"{i0}-{m}": (m, 1.0, i0) for i0 in (0.3, 2.5) for m in (1, 2, 5, 20, 200)}
+ERLANG_CASES["level0.3-3"] = (3, 0.3, 0.7)
+
+
+@pytest.mark.parametrize("m, level, i0", ERLANG_CASES.values(), ids=ERLANG_CASES.keys())
+def test_erlang_matches_scipy_gamma(m, level, i0):
+    scale = i0 * level
     law = stats.gamma(m, scale=scale)
     xs = law.ppf(np.linspace(1e-6, 1 - 1e-6, 501))
-    model = erlang(m, scale)
+    model = erlang(m, i0, level)
+    assert (model.shape, model.scale, model.weights.tolist()) == (m, scale, [1.0])
+    assert model.mean == pytest.approx(law.mean(), rel=1e-15)
     np.testing.assert_allclose(model.pdf(xs), law.pdf(xs), rtol=1e-12)
     np.testing.assert_allclose(model.cdf(xs), gammainc(m, xs / scale), rtol=1e-12)
 
