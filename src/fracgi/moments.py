@@ -5,18 +5,24 @@ The reconstruction statistic per pixel i is the normalized moment
     g[i] = <I_B^mu I_i^nu> / (<I_B^mu> <I_i^nu>)
 
 estimated from N frames. One pass keeps plain running sums for all order
-pairs at once: per batch and per distinct nu, the reference powers R and
-their column sums are computed once, and each order's joint sums are the
-mat-vecs b @ R and b^2 @ R^2, b its bucket powers. One stacked product per nu
-would be a GEMM, but then an order's bits would depend on how many orders
-share its nu. Frames are sharded in fixed 8192-frame ranges and each shard's
-sums are added to the total in shard-index order as they arrive, so results
-do not depend on the worker count. A worker pool is handed the shards in
-windows of 32 per worker, so memory does not grow with N at any worker
-count, also under null pairing, where each batch draws one more frame for
-its last bucket. Every product goes through np.dot, which releases the
-GIL: @ keeps it on letter A's 2048 x 49 batches, two-row products like
-[b; b^2] @ R included, so workers would take turns; new products need it too.
+pairs at once: per batch and per distinct nu, the reference powers R are
+computed once, and the orders sharing that nu are stacked, up to seven at
+a time, under a row of ones into one 8-row matrix S of bucket powers b.
+S @ R gives the reference column sums (row 0) and each order's joint sums
+b @ R; S^2 @ R^2 gives the sums of their squares. A row's bits do not
+depend on its position in S or on what the other rows hold, so an order's
+image does not depend on which orders run beside it; they do depend on
+the row count, which is therefore fixed. A batch short of the batch size
+(the pass's last) is padded with zero frames, so every product has one
+shape per unit count and the same bits at any BLAS thread count. Frames
+are sharded in ranges of 32 batches, at most 8192 frames, and each shard's
+sums are added to the total in shard-index order as they arrive, so
+results do not depend on the worker count. A worker pool is handed the
+shards in windows of 32 per worker, so memory does not grow with N at any
+worker count, also under null pairing, where each batch draws one more
+frame for its last bucket. Every product goes through np.dot, which
+releases the GIL: @ keeps it on letter A's 2048 x 49 batches, so workers
+would take turns; new products need it too.
 
 Orders are the paper's: mu of either sign but not 0, and nu > 0 (see
 MomentOrder); the closed forms in ``theory`` also cover nu in (-1, 0].
@@ -37,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objects import DomainError
-from .speckle import SampleSet, TINY_INTENSITY
+from .speckle import SampleSet, _batch_size
 
 __all__ = [
     "MomentOrder",
@@ -45,9 +51,21 @@ __all__ = [
     "multi_order_pass",
 ]
 
-# frames per shard: a multiple of every batch size (powers of two <= 2048),
-# so a shard never starts mid-batch; fixed, since the sums' bits depend on it
+# frames per shard: 32 batches, at most 8192 frames, so a shard never
+# starts mid-batch (batch sizes are powers of two <= 2048) and a wide mask's
+# 64-frame batches still make shards enough for every worker; a function of
+# the unit count alone, since the sums' bits depend on it
 _SHARD_SIZE = 8192
+_SHARD_BATCHES = 32
+
+# rows of every stacked product: ones, then the bucket powers of up to
+# seven orders sharing one nu; fixed, since a row's bits may change with
+# the row count (they do between 8 and 16 rows at 2048 x 49)
+_ROWS = 8
+
+# floor for bucket values: the smallest positive normal double, so that
+# negative-order powers never see log(0)
+TINY_INTENSITY = float(np.finfo(np.float64).tiny)
 
 # shards a worker pool is handed at a time, per worker: many more than one,
 # since the pool idles at each window's end (windows of one shard per
@@ -80,15 +98,15 @@ class MomentOrder:
 
 def _power(values: np.ndarray, exponent: float,
            out: np.ndarray | None = None) -> np.ndarray:
-    # powers of positive values (the sampler floors every intensity at
-    # TINY_INTENSITY), written into ``out`` or else one new array: nu = 0.5
-    # is a correctly rounded sqrt, other exponents go through log space
-    # (fractional orders, wide dynamic range); overflow to inf is detected
-    # by the caller
+    # positive powers of intensities, 0 and -0.0 included, written into
+    # ``out`` or else one new array: nu = 0.5 is a correctly rounded sqrt,
+    # other exponents go through log space (fractional orders, wide dynamic
+    # range), where log 0 = -inf gives exp(-inf) = 0; overflow to inf is
+    # detected by the caller
     if exponent == 0.5:
         return np.sqrt(values, out=out)
-    out = np.log(values, out=out)
-    with np.errstate(over="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.log(values, out=out)
         out *= exponent
         return np.exp(out, out=out)
 
@@ -130,18 +148,30 @@ class _Sums:
     ``joint``/``joint2`` (orders x pixels) sum I_B^mu I_i^nu and its square
     (orders doubled), ``ref`` (distinct nu x pixels) sums I_i^nu, and
     ``bucket``/``bucket2`` (orders) sum I_B^mu and I_B^{2mu}. Every summand
-    is positive, and a frame's term goes through at most B - 1 additions in
-    its batch of B frames, S/B in its shard of S frames and N/S across
-    shards, so plain sums err by at most about (B + S/B + N/S) u relative
-    (Higham 2002, Accuracy and Stability of Numerical Algorithms, sec. 4).
+    is nonnegative, and a frame's term goes through at most B - 1 additions
+    in its batch of B frames, S/B in its shard of S = min(8192, 32 B) frames
+    and N/S across shards, so plain sums err by at most about
+    (B + S/B + N/S) u relative (Higham 2002, Accuracy and Stability of
+    Numerical Algorithms, sec. 4).
     """
 
     def __init__(self, orders: list[MomentOrder], n_pixels: int):
         self.orders = orders
-        self.mus = np.array([o.mu for o in orders])[:, None]
         self.nus = sorted({o.nu for o in orders})
         self.nu_index = [self.nus.index(o.nu) for o in orders]
-        self.rows = [[i for i, o in enumerate(orders) if o.nu == nu] for nu in self.nus]
+        # per nu, its orders in stacks of at most _ROWS - 1 below row 0, as
+        # (stack index, orders); row 0 and unused rows have exponent 0 (ones)
+        self.stacks, first = [], 0
+        for nu in self.nus:
+            sharing = [i for i, o in enumerate(orders) if o.nu == nu]
+            chunks = [sharing[k:k + _ROWS - 1] for k in range(0, len(sharing), _ROWS - 1)]
+            self.stacks.append(list(enumerate(chunks, start=first)))
+            first += len(chunks)
+        self.exponents = np.zeros((first, _ROWS, 1))
+        self.slot = np.zeros(len(orders), dtype=int)  # flat (stack, row) of each order
+        for c, members in itertools.chain.from_iterable(self.stacks):
+            self.exponents[c, 1:1 + len(members), 0] = [orders[i].mu for i in members]
+            self.slot[members] = c * _ROWS + np.arange(1, 1 + len(members))
         self.joint = np.zeros((len(orders), n_pixels))
         self.joint2 = np.zeros((len(orders), n_pixels))
         self.ref = np.zeros((len(self.nus), n_pixels))
@@ -152,31 +182,43 @@ class _Sums:
     def add_batch(self, refs: np.ndarray, buckets: np.ndarray,
                   groups: np.ndarray | None = None,
                   scratch: np.ndarray | None = None) -> None:
-        """Accumulate a block of frames (rows of ``refs``), all orders at once;
-        ``groups`` maps each frame's reference powers to group values. The
-        reference powers go into ``scratch`` (at least as many rows as
-        ``refs``) when given, else into a new array."""
-        if scratch is not None:
-            scratch = scratch[: refs.shape[0]]
+        """Accumulate a block of frames, one per bucket, all orders at once;
+        ``groups`` maps each frame's reference powers to group values. A
+        block short of the batch size of its unit count is padded with zero
+        frames, so each product's shape, and so its bits, depend on the unit
+        count alone: ``refs`` holds the frames' references and may go on
+        with zero rows up to the batch size, and any rows still missing are
+        added here. The reference powers go into ``scratch`` (a batch's
+        rows) when given, else into a new array."""
+        count, size = buckets.size, _batch_size(refs.shape[1])
         log_b = np.log(np.maximum(buckets, TINY_INTENSITY))  # one log for every mu
         # an overflow here is detected below and raised as DomainError
         with np.errstate(over="ignore", invalid="ignore"):
-            b = log_b * self.mus
-            np.exp(b, out=b)
-            b2 = b * b
-            for j, nu in enumerate(self.nus):
+            stack = np.exp(self.exponents * log_b)
+            stack2 = stack * stack
+            self.bucket += stack.sum(axis=2).ravel()[self.slot]
+            self.bucket2 += stack2.sum(axis=2).ravel()[self.slot]
+            if count < size:
+                if len(refs) < size:
+                    refs = np.pad(refs, ((0, size - len(refs)), (0, 0)))
+                stack, stack2 = (np.pad(s, ((0, 0), (0, 0), (0, size - count)))
+                                 for s in (stack, stack2))
+            for j, (nu, mine) in enumerate(zip(self.nus, self.stacks)):
                 r = _power(refs, nu, scratch)
                 if groups is not None:
                     r = np.dot(r, groups)
-                self.ref[j] += r.sum(axis=0)
-                for i in self.rows[j]:
-                    self.joint[i] += np.dot(b[i], r)
-                np.square(r, out=r)
-                for i in self.rows[j]:
-                    self.joint2[i] += np.dot(b2[i], r)
-            self.bucket += b.sum(axis=1)
-            self.bucket2 += b2.sum(axis=1)
-        self.n += buckets.size
+                for c, members in mine:
+                    sums = np.dot(stack[c], r)
+                    for row, i in enumerate(members, start=1):
+                        self.joint[i] += sums[row]
+                self.ref[j] += sums[0]
+                # sqrt(I)^2 is I: at nu = 0.5 the intensities are their own squares
+                r = refs if nu == 0.5 and groups is None else np.square(r, out=r)
+                for c, members in mine:
+                    sums = np.dot(stack2[c], r)
+                    for row, i in enumerate(members, start=1):
+                        self.joint2[i] += sums[row]
+        self.n += count
         self._require_finite()
 
     def merge(self, other: "_Sums") -> "_Sums":
@@ -212,10 +254,15 @@ class _Sums:
             ref_mean = self.ref[self.nu_index[i]] / n
             bucket_mean = float(self.bucket[i]) / n
             if bucket_mean <= 0 or np.any(ref_mean <= 0):
-                raise ValueError("degenerate normalization (zero mean power)")
-            g = joint_mean / (bucket_mean * ref_mean)
+                raise DomainError(
+                    f"zero mean power at orders (mu={order.mu}, nu={order.nu}): "
+                    "order/scale mismatch (power underflow)")
+            with np.errstate(divide="ignore", invalid="ignore"):  # refused below
+                g = joint_mean / (bucket_mean * ref_mean)
             if not np.all(np.isfinite(g) & (g > 0)):
-                raise ValueError("non-finite or non-positive ghost image pixel")
+                raise DomainError(
+                    f"non-finite or zero ghost image pixel at orders (mu={order.mu}, "
+                    f"nu={order.nu}): order/scale mismatch (power underflow)")
             images.append(GhostImage(
                 width=width,
                 height=height,
@@ -242,9 +289,10 @@ def multi_order_pass(
 ) -> list[GhostImage]:
     """One streaming pass over the sample set for all order pairs at once.
 
-    Frames are processed in fixed-size shards, and each shard's sums are
-    added to the total in shard-index order as they arrive, so results are
-    identical for any worker count and memory does not grow with N.
+    Frames are processed in shards of min(8192, 32 * batch size) frames,
+    and each shard's sums are added to the total in shard-index order as
+    they arrive, so results are identical for any worker count and memory
+    does not grow with N.
     ``null_pairing`` pairs the reference of frame j with the bucket of
     frame (j + 1) mod N, which destroys the bucket-reference correlation
     (decorrelation null runs): a batch takes its own buckets shifted by
@@ -268,15 +316,16 @@ def multi_order_pass(
     # one reference block and one power scratch per worker, reused by every
     # batch of its shards: a batch-sized array freed per batch goes back to
     # the kernel and is faulted in again by the next batch
-    starts = range(0, samples.n_frames, _SHARD_SIZE)
-    shape = (min(samples.batch_size, samples.n_frames), samples.config.n)
+    shard_size = min(_SHARD_SIZE, _SHARD_BATCHES * samples.batch_size)
+    starts = range(0, samples.n_frames, shard_size)
+    shape = (samples.batch_size, samples.config.n)
     buffers = queue.SimpleQueue()
     for _ in range(min(workers, len(starts))):
         buffers.put((np.empty(shape), np.empty(shape)))
 
     def process(start: int) -> _Sums:
         sums = _Sums(orders, width * height)
-        stop = min(start + _SHARD_SIZE, samples.n_frames)
+        stop = min(start + shard_size, samples.n_frames)
         block, scratch = buffers.get()
         try:
             for first, refs, buckets in samples.iter_batches(start=start, stop=stop, out=block):
@@ -284,6 +333,11 @@ def multi_order_pass(
                     after = (first + buckets.size) % samples.n_frames
                     ((_, _, last),) = samples.iter_batches(after, after + 1, out=scratch)
                     buckets = np.concatenate([buckets[1:], last])
+                # a short batch: zero frames pad it in place, so add_batch
+                # needs no padded copy (2 MB on a 64x64 mask)
+                if buckets.size < len(block):
+                    block[buckets.size:] = 0
+                    refs = block
                 sums.add_batch(refs, buckets, groups, scratch)
         finally:
             buffers.put((block, scratch))

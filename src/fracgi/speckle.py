@@ -23,15 +23,10 @@ from numpy.random import PCG64, Generator  # eager: numpy loads numpy.random laz
 from .objects import DomainError, ObjectMask
 
 __all__ = [
-    "TINY_INTENSITY",
     "RNG_LAYOUT",
     "SpeckleConfig",
     "SampleSet",
 ]
-
-# clamp floor for intensities: smallest positive normal double, so that
-# negative-order powers never see log(0)
-TINY_INTENSITY = float(np.finfo(np.float64).tiny)
 
 # name of the frame-to-stream layout, recorded in run reports
 RNG_LAYOUT = "pcg64-stream"
@@ -69,8 +64,8 @@ def _intensity_block(config: SpeckleConfig, start: int, count: int,
     64-bit output each, so the draw advances the generator by start*n
     (a 128-bit jump) and reads count*n doubles in one call. Exponential
     sampling by inverse CDF, -i0*log(1-u) with u in [0, 1) on the 2^-53
-    grid, so 1-u is exact and stays in (0, 1]; exact zeros and underflows
-    clamp to the smallest positive normal intensity. The draw and the
+    grid, so 1-u is exact and stays in (0, 1]; u = 0 gives an intensity
+    of 0 (as -0.0), and so may an underflow at tiny i0. The draw and the
     transform run in place, in ``out[:count]`` when a buffer of at least
     count rows is given, else in a new array.
     """
@@ -80,7 +75,13 @@ def _intensity_block(config: SpeckleConfig, start: int, count: int,
     np.subtract(1.0, block, out=block)
     np.log(block, out=block)
     block *= -config.i0
-    return np.maximum(block, TINY_INTENSITY, out=block)
+    return block
+
+
+def _batch_size(n: int) -> int:
+    # see SampleSet.batch_size
+    fit = max(_BATCH_VALUES // n, 1)
+    return min(1 << (fit.bit_length() - 1), _MAX_BATCH_FRAMES)
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,7 @@ class SampleSet:
         into batches, and every sum over a batch, is the same for any
         worker or BLAS thread count.
         """
-        fit = max(_BATCH_VALUES // self.config.n, 1)
-        return min(1 << (fit.bit_length() - 1), _MAX_BATCH_FRAMES)
+        return _batch_size(self.config.n)
 
     def iter_batches(
         self, start: int = 0, stop: int | None = None, out: np.ndarray | None = None

@@ -494,13 +494,20 @@ def test_validate_skips_infinite_variance_rows(capsys):
     assert lines[-1] == "no check failed; 3 skipped (infinite estimator variance)"
 
 
-@pytest.mark.parametrize("argv", [
-    ["validate", "--n-samples", "4000", "--orders=150:0.5"],
-    ["simulate", "--n-samples", "4000", "--orders=150:0.5"],
+@pytest.mark.parametrize("argv,refusal", [
+    (["validate", "--n-samples", "4000", "--orders=150:0.5"], "non-finite power"),
+    (["simulate", "--n-samples", "4000", "--orders=150:0.5"], "non-finite power"),
     # each of the two 8192-frame shards' sums is finite, their total is not
-    ["simulate", "--i0", "5.7e59", "--orders=2:0.5", "--n-samples", "16384", "--seed", "1"],
-], ids=["validate", "simulate", "shard-merge"])
-def test_power_overflow_is_a_domain_error(tmp_path, argv):
+    (["simulate", "--i0", "5.7e59", "--orders=2:0.5", "--n-samples", "16384", "--seed", "1"],
+     "non-finite power"),
+    # bucket powers (1e-199)^2 and reference powers (1e-300)^40 underflow to 0
+    (["simulate", "--i0", "1e-200", "--n-samples", "4000", "--orders=2:0.5"], "zero mean power"),
+    (["simulate", "--i0", "1e-300", "--n-samples", "4000", "--orders=0.618:40"],
+     "zero mean power"),
+    (["validate", "--i0", "1e-200", "--n-samples", "4000", "--orders=2:0.5"], "zero mean power"),
+], ids=["validate", "simulate", "shard-merge", "underflow-simulate-bucket",
+        "underflow-simulate-reference", "underflow-validate"])
+def test_power_overflow_is_a_domain_error(tmp_path, argv, refusal):
     if argv[0] == "simulate":
         argv = [*argv, "--out", str(tmp_path / "run")]
     env = dict(os.environ, PYTHONPATH=str(Path(fracgi.__file__).parents[1]))
@@ -510,6 +517,8 @@ def test_power_overflow_is_a_domain_error(tmp_path, argv):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 3
-    assert proc.stderr.startswith("domain error: non-finite power")
+    assert proc.stderr.startswith(f"domain error: {refusal}")
+    kind = "underflow" if refusal == "zero mean power" else "overflow"
+    assert proc.stderr.rstrip().endswith(f"order/scale mismatch (power {kind})")
     assert "RuntimeWarning" not in proc.stderr
     assert not (tmp_path / "run").exists()  # not even an empty directory

@@ -1,16 +1,22 @@
 import dataclasses
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fracgi
 from fracgi import metrics, moments, speckle
 from fracgi.moments import (
+    TINY_INTENSITY,
     GhostImage,
     MomentOrder,
     _Sums,
@@ -18,7 +24,7 @@ from fracgi.moments import (
     multi_order_pass,
 )
 from fracgi.objects import ObjectMask, block_mask, classify_units, letter_a_mask
-from fracgi.speckle import TINY_INTENSITY, SampleSet, SpeckleConfig
+from fracgi.speckle import SampleSet, SpeckleConfig
 from fracgi.theory import DomainError, predict
 
 from conftest import all_buckets
@@ -94,6 +100,22 @@ def test_power_overflow_names_first_overflowing_order():
     orders = [MomentOrder(1.0, 0.5), MomentOrder(-3.0, 0.5), MomentOrder(-4.0, 0.5)]
     with pytest.raises(DomainError, match=r"mu=-3\.0, nu=0\.5"):
         _Sums(orders, 1).add_batch(*frame([1.0], 1e-300))
+
+
+@pytest.mark.filterwarnings("error")
+def test_power_underflow_raises():
+    # (1e-200)^2 underflows to a zero bucket mean; with bucket powers 1e-200
+    # and reference powers 1e-150 both means are positive, but the product
+    # of the means and each joint term, 1e-350, are 0
+    order = MomentOrder(mu=2.0, nu=0.5)
+    for bucket, reference, refusal in ((1e-200, 1.0, "zero mean power"),
+                                       (1e-100, 1e-300, "non-finite or zero ghost image pixel")):
+        sums = _Sums([order], 1)
+        for _ in range(2):
+            sums.add_batch(*frame([reference], bucket))
+        with pytest.raises(DomainError, match=rf"^{refusal} at orders \(mu=2\.0, nu=0\.5\): "
+                                              r"order/scale mismatch \(power underflow\)$"):
+            sums.finalize(1, 1)
 
 
 @pytest.mark.filterwarnings("error")
@@ -238,18 +260,78 @@ def test_power_sqrt_and_log_space_paths():
         assert np.all(np.abs(_power(x, nu) - expected) <= bound)
 
 
+@pytest.mark.filterwarnings("error")
+def test_power_of_zero_is_zero():
+    # the sampler gives intensity 0 (as -0.0) at u = 0, and tiny i0 may
+    # underflow to 0: every positive power of either is 0, without a warning
+    zeros = np.array([0.0, -0.0])
+    for nu in (0.5, 0.7, 1.0, 2.7183, 40.0):
+        assert np.all(_power(zeros, nu) == 0)
+        assert np.all(_power(zeros, nu, np.empty(2)) == 0)
+
+
+# one pass per (unit count, frame count), each ending in a partial batch
+# (1025 of 2048 frames at n = 49 and 128, 513 of 1024 at n = 256, 33 of 64
+# at n = 4096), at nu = 0.5 and 0.7; prints one digest of the sums per pass
+_SUMS_BY_UNIT_COUNT = """
+import hashlib
+import numpy as np
+from fracgi.moments import MomentOrder, multi_order_pass
+from fracgi.objects import ObjectMask
+from fracgi.speckle import SampleSet, SpeckleConfig
+
+orders = [MomentOrder(mu, nu) for mu in (-1.414, 0.618, 2.7183) for nu in (0.5, 0.7)]
+for n, n_frames in ((49, 2048 + 1025), (128, 9217), (256, 1024 + 513), (4096, 5 * 64 + 33)):
+    units = np.random.default_rng(n).random(n)
+    samples = SampleSet(SpeckleConfig(1.0, 7, n), ObjectMask(n, 1, units), n_frames)
+    digest = hashlib.sha256()
+    for image in multi_order_pass(samples, orders):
+        for values in (image.joint_mean, image.joint2_mean, image.ref_mean,
+                       [image.bucket_mean, image.bucket2_mean]):
+            digest.update(np.asarray(values).tobytes())
+    print(n, n_frames, digest.hexdigest())
+"""
+
+
+def test_pass_sums_independent_of_blas_threads():
+    # a product's bits may change with the BLAS thread count at some shapes,
+    # (8, 1025) @ (1025, 128) and (8, 513) @ (513, 256) among them; padded
+    # to a full batch, every product has a shape that does not
+    digests = []
+    for threads in (1, 2, 4):
+        env = dict(os.environ, PYTHONPATH=str(Path(fracgi.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=str(threads))
+        proc = subprocess.run([sys.executable, "-c", _SUMS_BY_UNIT_COUNT],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.splitlines())
+    assert len(digests[0]) == 4
+    assert digests[0] == digests[1] == digests[2]
+
+
 def test_order_alone_matches_order_in_six_order_run(small_run, wide_run):
-    # each order's sums are one mat-vec per batch over the shared reference
-    # powers, so the other orders sharing its nu do not touch its bits
-    orders = [MomentOrder(mu, 0.5) for mu in (-2.7183, -1.414, -0.618, 0.618, 1.414, 2.7183)]
-    for _, samples in (small_run, wide_run):
-        six = multi_order_pass(samples, orders)
-        for order, image in zip(orders, six):
-            (alone,) = multi_order_pass(samples, [order])
-            for field in ("g", "joint_mean", "joint2_mean", "ref_mean"):
-                assert np.array_equal(getattr(alone, field), getattr(image, field))
-            assert alone.bucket_mean == image.bucket_mean
-            assert alone.bucket2_mean == image.bucket2_mean
+    # an order is one row of its nu's 8-row stacks, and a row's bits depend
+    # neither on its position nor on the other rows: the six README orders
+    # fill one stack, nine orders sharing nu = 0.5 two (7 + 2), beside an
+    # order at nu = 0.7. Both sample sets end in a partial batch, and so
+    # does the 1025-frame letter-A set, all one partial batch; the letter-A
+    # passes also run grouped (class averages)
+    six = [MomentOrder(mu, 0.5) for mu in (-2.7183, -1.414, -0.618, 0.618, 1.414, 2.7183)]
+    nine = six + [MomentOrder(mu, 0.5) for mu in (-0.3, 0.3, 1.0)] + [MomentOrder(0.618, 0.7)]
+    letter, letter_samples = small_run
+    classes = metrics.class_average_matrix(classify_units(letter))
+    short = SampleSet(letter_samples.config, letter, 1025)
+    assert letter_samples.n_frames % 2048 and wide_run[1].n_frames % 64
+    for samples, groups in ((letter_samples, None), (wide_run[1], None), (short, None),
+                            (letter_samples, classes), (short, classes)):
+        for orders in (six, nine):
+            stacked = multi_order_pass(samples, orders, groups=groups)
+            for order, image in zip(orders, stacked):
+                (alone,) = multi_order_pass(samples, [order], groups=groups)
+                for field in ("g", "joint_mean", "joint2_mean", "ref_mean"):
+                    assert np.array_equal(getattr(alone, field), getattr(image, field))
+                assert alone.bucket_mean == image.bucket_mean
+                assert alone.bucket2_mean == image.bucket2_mean
 
 
 def test_worker_count_bitwise_identical(small_run, wide_run, monkeypatch):

@@ -6,7 +6,7 @@ from scipy import stats
 
 from fracgi import speckle
 from fracgi.objects import ObjectMask, letter_a_mask
-from fracgi.speckle import TINY_INTENSITY, SampleSet, SpeckleConfig, _intensity_block
+from fracgi.speckle import SampleSet, SpeckleConfig, _intensity_block
 from fracgi.theory import bucket_pdf_general
 
 from conftest import all_buckets
@@ -248,13 +248,13 @@ def stream_frames(cfg, start, count, jumps=()):
     assert skip >= 0
     u = np.random.Generator(bitgen).random(skip + count * cfg.n)
     u = u[skip:].reshape(count, cfg.n)
-    return np.maximum(-cfg.i0 * np.log(1.0 - u), TINY_INTENSITY)
+    return -cfg.i0 * np.log(1.0 - u)
 
 
 def test_transform_within_one_ulp_of_log1p(monkeypatch):
     # log1p(-u) is an independent oracle for the sampler's -i0*log(1-u):
     # 10^6 draws, with the edges u = 0 and u = 1 - 2^-53 put into the stream,
-    # into a new array and into a larger reused buffer
+    # into a new array and into a larger reused buffer; u = 0 gives 0
     edges = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
     real_generator = np.random.Generator
 
@@ -269,12 +269,12 @@ def test_transform_within_one_ulp_of_log1p(monkeypatch):
 
     cfg = config(n=1000, i0=1.5, seed=9)
     u = EdgedGenerator(np.random.PCG64(cfg.seed)).random((1000, cfg.n))
-    expected = np.maximum(-cfg.i0 * np.log1p(-u), TINY_INTENSITY)
+    expected = -cfg.i0 * np.log1p(-u)
     monkeypatch.setattr(speckle, "Generator", EdgedGenerator)
     buf = np.full((1024, cfg.n), np.nan)
     for sampled in (_intensity_block(cfg, 0, 1000), _intensity_block(cfg, 0, 1000, buf)):
         assert sampled.shape == expected.shape
-        assert sampled.flat[0] == TINY_INTENSITY
+        assert sampled.flat[0] == 0
         np.testing.assert_array_max_ulp(sampled, expected, maxulp=1)
     assert np.shares_memory(sampled, buf) and np.isnan(buf[1000:]).all()
 
