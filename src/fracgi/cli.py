@@ -88,6 +88,8 @@ def _parse_range(text: str, flag: str) -> list[float]:
 
 def _load_mask(args) -> ObjectMask:
     if args.object is None:
+        if args.binarize is not None:
+            raise UsageError("--binarize needs --object (the built-in mask is binary)")
         return builtin_mask()
     return load_object(args.object, binarize_threshold=args.binarize)
 
@@ -263,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run the forward model and reconstruct")
     sim.add_argument("--object", help="mask file (PGM or CSV); built-in letter A if omitted")
     sim.add_argument("--binarize", type=float, default=None, metavar="T",
-                     help="threshold in (0,1) mapping values to {0,1}")
+                     help="threshold in (0,1) mapping --object values to {0,1}")
     sim.add_argument("--i0", type=float, default=1.0, help="mean speckle intensity")
     sim.add_argument("--n-samples", type=int, required=True, help="frame count N")
     sim.add_argument("--orders", required=True, help="comma-separated mu:nu pairs")

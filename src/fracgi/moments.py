@@ -143,40 +143,36 @@ class GhostImage:
 
 
 class _Sums:
-    """Running sums of one shard for all order pairs at once.
-
-    ``joint``/``joint2`` (orders x pixels) sum I_B^mu I_i^nu and its square
-    (orders doubled), ``ref`` (distinct nu x pixels) sums I_i^nu, and
-    ``bucket``/``bucket2`` (orders) sum I_B^mu and I_B^{2mu}. Every summand
-    is nonnegative, and a frame's term goes through at most B - 1 additions
-    in its batch of B frames, S/B in its shard of S = min(8192, 32 B) frames
-    and N/S across shards, so plain sums err by at most about
+    """Running sums of one shard for all order pairs at once, in the shape
+    of the stacked products: ``first``/``second`` (stacks x rows x pixels)
+    sum S @ R and S^2 @ R^2, ``power``/``power2`` (stacks x rows) the rows
+    of S and S^2. An order's sums are at its flat (stack, row) ``slot``,
+    its reference sums at row 0 of that stack. Every summand is
+    nonnegative, and a frame's term goes through at most B - 1 additions
+    in its batch of B frames, S/B in its shard of S = min(8192, 32 B)
+    frames and N/S across shards, so plain sums err by at most about
     (B + S/B + N/S) u relative (Higham 2002, Accuracy and Stability of
     Numerical Algorithms, sec. 4).
     """
 
     def __init__(self, orders: list[MomentOrder], n_pixels: int):
         self.orders = orders
-        self.nus = sorted({o.nu for o in orders})
-        self.nu_index = [self.nus.index(o.nu) for o in orders]
-        # per nu, its orders in stacks of at most _ROWS - 1 below row 0, as
-        # (stack index, orders); row 0 and unused rows have exponent 0 (ones)
-        self.stacks, first = [], 0
-        for nu in self.nus:
+        # per nu, the range of its stacks, which hold its orders at most
+        # _ROWS - 1 each below row 0; row 0 and unused rows have exponent 0 (ones)
+        self.slot = np.zeros(len(orders), dtype=int)
+        self.spans, count = [], 0
+        for nu in sorted({o.nu for o in orders}):
             sharing = [i for i, o in enumerate(orders) if o.nu == nu]
-            chunks = [sharing[k:k + _ROWS - 1] for k in range(0, len(sharing), _ROWS - 1)]
-            self.stacks.append(list(enumerate(chunks, start=first)))
-            first += len(chunks)
-        self.exponents = np.zeros((first, _ROWS, 1))
-        self.slot = np.zeros(len(orders), dtype=int)  # flat (stack, row) of each order
-        for c, members in itertools.chain.from_iterable(self.stacks):
-            self.exponents[c, 1:1 + len(members), 0] = [orders[i].mu for i in members]
-            self.slot[members] = c * _ROWS + np.arange(1, 1 + len(members))
-        self.joint = np.zeros((len(orders), n_pixels))
-        self.joint2 = np.zeros((len(orders), n_pixels))
-        self.ref = np.zeros((len(self.nus), n_pixels))
-        self.bucket = np.zeros(len(orders))
-        self.bucket2 = np.zeros(len(orders))
+            stack, row = divmod(np.arange(len(sharing)), _ROWS - 1)
+            self.slot[sharing] = (count + stack) * _ROWS + 1 + row
+            self.spans.append((nu, range(count, count + 1 + stack[-1])))
+            count += 1 + stack[-1]
+        self.exponents = np.zeros((count, _ROWS, 1))
+        self.exponents.ravel()[self.slot] = [o.mu for o in orders]
+        self.first = np.zeros((count, _ROWS, n_pixels))
+        self.second = np.zeros((count, _ROWS, n_pixels))
+        self.power = np.zeros((count, _ROWS))
+        self.power2 = np.zeros((count, _ROWS))
         self.n = 0
 
     def add_batch(self, refs: np.ndarray, buckets: np.ndarray,
@@ -196,46 +192,41 @@ class _Sums:
         with np.errstate(over="ignore", invalid="ignore"):
             stack = np.exp(self.exponents * log_b)
             stack2 = stack * stack
-            self.bucket += stack.sum(axis=2).ravel()[self.slot]
-            self.bucket2 += stack2.sum(axis=2).ravel()[self.slot]
+            self.power += stack.sum(axis=2)
+            self.power2 += stack2.sum(axis=2)
             if count < size:
                 if len(refs) < size:
                     refs = np.pad(refs, ((0, size - len(refs)), (0, 0)))
                 stack, stack2 = (np.pad(s, ((0, 0), (0, 0), (0, size - count)))
                                  for s in (stack, stack2))
-            for j, (nu, mine) in enumerate(zip(self.nus, self.stacks)):
+            for nu, span in self.spans:
                 r = _power(refs, nu, scratch)
                 if groups is not None:
                     r = np.dot(r, groups)
-                for c, members in mine:
-                    sums = np.dot(stack[c], r)
-                    for row, i in enumerate(members, start=1):
-                        self.joint[i] += sums[row]
-                self.ref[j] += sums[0]
+                for c in span:
+                    self.first[c] += np.dot(stack[c], r)
                 # sqrt(I)^2 is I: at nu = 0.5 the intensities are their own squares
                 r = refs if nu == 0.5 and groups is None else np.square(r, out=r)
-                for c, members in mine:
-                    sums = np.dot(stack2[c], r)
-                    for row, i in enumerate(members, start=1):
-                        self.joint2[i] += sums[row]
+                for c in span:
+                    self.second[c] += np.dot(stack2[c], r)
         self.n += count
         self._require_finite()
 
     def merge(self, other: "_Sums") -> "_Sums":
         """Fold another shard's sums into these (call in shard order)."""
         with np.errstate(over="ignore"):  # detected below and raised as DomainError
-            self.joint += other.joint
-            self.joint2 += other.joint2
-            self.ref += other.ref
-            self.bucket += other.bucket
-            self.bucket2 += other.bucket2
+            self.first += other.first
+            self.second += other.second
+            self.power += other.power
+            self.power2 += other.power2
         self.n += other.n
         self._require_finite()
         return self
 
     def _require_finite(self) -> None:
-        # a joint, reference or bucket sum overflows only if a squared one does
-        finite = np.isfinite(self.joint2).all(axis=1) & np.isfinite(self.bucket2)
+        # an order's joint, reference or bucket sum overflows only if a squared one does
+        finite = np.isfinite(self.second).all(axis=2) & np.isfinite(self.power2)
+        finite = finite.ravel()[self.slot]
         if not finite.all():
             order = self.orders[int(np.argmin(finite))]
             raise DomainError(
@@ -249,10 +240,11 @@ class _Sums:
             raise ValueError("need at least 2 frames to finalize")
         n = self.n
         images = []
-        for i, order in enumerate(self.orders):
-            joint_mean = self.joint[i] / n
-            ref_mean = self.ref[self.nu_index[i]] / n
-            bucket_mean = float(self.bucket[i]) / n
+        for order, slot in zip(self.orders, self.slot):
+            c, row = divmod(slot, _ROWS)
+            joint_mean = self.first[c, row] / n
+            ref_mean = self.first[c, 0] / n
+            bucket_mean = float(self.power[c, row]) / n
             if bucket_mean <= 0 or np.any(ref_mean <= 0):
                 raise DomainError(
                     f"zero mean power at orders (mu={order.mu}, nu={order.nu}): "
@@ -271,10 +263,10 @@ class _Sums:
                 n_samples=n,
                 g=g,
                 joint_mean=joint_mean,
-                joint2_mean=self.joint2[i] / n,
+                joint2_mean=self.second[c, row] / n,
                 ref_mean=ref_mean,
                 bucket_mean=bucket_mean,
-                bucket2_mean=float(self.bucket2[i]) / n,
+                bucket2_mean=float(self.power2[c, row]) / n,
             ))
         return images
 

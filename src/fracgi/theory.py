@@ -124,7 +124,8 @@ def _log_gamma(x):
 def _closed_forms(m, mu, nu, i0=1.0, variance=False):
     """(moment_background, moment_signal, visibility, R_p/sqrt(N)) of a
     binary mask at orders whose moments exist; R_p/sqrt(N) is None when
-    ``variance`` is False, and otherwise needs the signal variance to exist.
+    ``variance`` is False or a scalar moment overflows a double, and
+    otherwise needs the signal variance to exist.
 
     Scalar orders (``variance`` a bool) give scalars. Orders given as two
     arrays of one shape, such as the in-domain cells of a grid, give arrays
@@ -144,7 +145,7 @@ def _closed_forms(m, mu, nu, i0=1.0, variance=False):
     v = np.abs(np.tanh(0.5 * ((a - b) - (c - d))))
     with np.errstate(over="ignore"):  # a moment past a double is inf; predict refuses it
         out = [np.exp(ln_bg + ln_i0), np.exp(ln_sig + ln_i0), v, None]
-    if variance is False:
+    if variance is False or (variance is True and not np.isfinite(out[0] + out[1])):
         return out
     if isinstance(variance, np.ndarray):
         mu, nu, ln_sig, ln_bg = mu[variance], nu[variance], ln_sig[variance], ln_bg[variance]
@@ -218,6 +219,7 @@ def predict(
     not exist or overflow a double, returns None SNR fields (flag false)
     when only the estimator variance diverges."""
     _check(n_samples >= 1, "n_samples >= 1 required")
+    _check(math.isfinite(mu) and math.isfinite(nu), "orders must be finite")
     flags = require_moment(m, mu, nu)
     _check(m >= 2, "m >= 2 required")
     _check(0 < i0 < math.inf, "i0 must be positive and finite")

@@ -1,7 +1,8 @@
 """Golden outputs of the CI console commands, run in process.
 
-``collect(workdir)`` runs each command of the CI console job through
-``fracgi.cli.main`` and returns its outputs as plain JSON values: the
+``collect(workdir, workers)`` runs each command of the CI console job
+through ``fracgi.cli.main``, every `simulate` and `validate` with
+``--workers`` appended, and returns its outputs as plain JSON values: the
 `simulate` report fields and sidecar ``g_min``/``g_max``, the `validate`
 lines with each image the pass returned, the `predict` JSON and the README
 sweep's rows. Every number is kept at full precision; ``mismatches``
@@ -9,9 +10,10 @@ compares text, flags and counts exactly and floats to ``REL_TOL``.
 
     PYTHONPATH=src python tests/golden.py
 
-rewrites ``tests/golden.json``. A change that moves outputs on purpose
-commits the rewrite; on one host its diff lists every value that moved,
-moves below the tolerance included.
+rewrites ``tests/golden.json`` from a one-worker run. A change that moves
+outputs on purpose commits the rewrite; on one host its diff lists every
+value that moved, moves below the tolerance included. The outputs do not
+depend on the worker count, so every worker count is checked against it.
 """
 
 from __future__ import annotations
@@ -100,8 +102,9 @@ def _sweep(argv: list[str], out: Path) -> dict:
     return {"exit": code, "header": header, "rows": cells}
 
 
-def collect(workdir: Path) -> dict:
-    """Outputs of the CI console commands, run in ``workdir``."""
+def collect(workdir: Path, workers: int = 1) -> dict:
+    """Outputs of the CI console commands, run in ``workdir``, each pass on
+    ``workers`` threads."""
     workdir = Path(workdir)
     wide = workdir / "wide.pgm"
     wide.write_bytes(_wide_pgm())
@@ -109,21 +112,25 @@ def collect(workdir: Path) -> dict:
     blob.write_text(BLOB_CSV)
     two = "--orders=-2.7183:0.5,0.618:0.5"
     code, stdout, _ = _run(["predict", "--m", "20", "--mu", "1", "--nu", "1"])
+
+    def simulate(argv, out):
+        return _simulate([*argv, "--workers", str(workers)], workdir / out)
+
+    def validate(*argv):
+        return _validate([*argv, "--workers", str(workers)])
+
     return {
-        "validate paired": _validate(["--n-samples", "20000"]),
-        "validate null": _validate(["--null-pairing", "--n-samples", "20001"]),
-        "validate m5 null": _validate(["--m", "5", "--seed", "3", "--null-pairing",
-                                       "--n-samples", "20000"]),
-        "simulate letter A": _simulate(["--n-samples", "20000", "--seed", "7", two],
-                                       workdir / "letter"),
-        "simulate wide": _simulate(["--object", str(wide), "--n-samples", "10000",
-                                    "--seed", "7", two], workdir / "wide"),
-        "simulate wide nu": _simulate(["--object", str(wide), "--n-samples", "10000",
-                                       "--seed", "7", "--orders=0.618:0.7,-1.414:0.5"],
-                                      workdir / "nu"),
-        "simulate blob": _simulate(["--object", str(blob), "--n-samples", "50000", "--seed", "3",
-                                    "--orders=-1.414:0.5,0.618:0.5,2.7183:0.5"],
-                                   workdir / "gray"),
+        "validate paired": validate("--n-samples", "20000"),
+        "validate null": validate("--null-pairing", "--n-samples", "20001"),
+        "validate m5 null": validate("--m", "5", "--seed", "3", "--null-pairing",
+                                     "--n-samples", "20000"),
+        "simulate letter A": simulate(["--n-samples", "20000", "--seed", "7", two], "letter"),
+        "simulate wide": simulate(["--object", str(wide), "--n-samples", "10000",
+                                   "--seed", "7", two], "wide"),
+        "simulate wide nu": simulate(["--object", str(wide), "--n-samples", "10000",
+                                      "--seed", "7", "--orders=0.618:0.7,-1.414:0.5"], "nu"),
+        "simulate blob": simulate(["--object", str(blob), "--n-samples", "50000", "--seed", "3",
+                                   "--orders=-1.414:0.5,0.618:0.5,2.7183:0.5"], "gray"),
         "predict": {"exit": code, "json": json.loads(stdout)},
         "sweep README": _sweep(["--m", "20,30", "--mu=-3:3:0.1", "--nu", "0.1:3:0.1"],
                                workdir / "surfaces.csv"),

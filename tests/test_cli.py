@@ -77,7 +77,8 @@ def test_predict_bad_sampling_count_or_intensity_exit_3(capsys, flag, value, rea
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("args", [("--mu", "250", "--nu", "1"),
-                                  ("--mu", "1", "--nu", "1", "--i0", "1e300")])
+                                  ("--mu", "1", "--nu", "1", "--i0", "1e300"),
+                                  ("--mu", "1e308", "--nu", "1")])
 def test_predict_refuses_moments_past_a_double_exit_3(capsys, args):
     code, out, err = run(capsys, "predict", "--m", "20", *args)
     assert code == 3 and out == ""
@@ -153,6 +154,17 @@ def test_simulate_mask_file_with_binarize(tmp_path, capsys):
     assert code == 0
     report = read_report(tmp_path / "r" / "report.json")
     assert report.results[0].v_analytic is not None  # binarized mask has m=2
+
+
+@pytest.mark.parametrize("threshold", ["0.5", "7"])
+def test_simulate_binarize_without_object_usage_error(tmp_path, capsys, threshold):
+    code, out, err = run(
+        capsys, "simulate", "--binarize", threshold, "--n-samples", "100",
+        "--orders=1:0.5", "--out", str(tmp_path / "d"),
+    )
+    assert code == 2 and out == ""
+    assert "--binarize needs --object" in err
+    assert not (tmp_path / "d").exists()
 
 
 def test_simulate_grayscale_mask_file(tmp_path, capsys):

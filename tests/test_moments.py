@@ -19,6 +19,7 @@ from fracgi.moments import (
     TINY_INTENSITY,
     GhostImage,
     MomentOrder,
+    _ROWS,
     _Sums,
     _power,
     multi_order_pass,
@@ -33,6 +34,13 @@ from conftest import all_buckets
 def frame(reference, bucket):
     """One frame as a one-row batch: (references, buckets)."""
     return np.asarray([reference], float), np.array([bucket], float)
+
+
+def order_sums(sums, i=0):
+    """Order i's joint, joint2, reference and bucket sums, read through its
+    slot: its row of each stacked sum, and row 0 of its stack's first sums."""
+    c, row = divmod(sums.slot[i], _ROWS)
+    return sums.first[c, row], sums.second[c, row], sums.first[c, 0], sums.power[c, row]
 
 
 # -- order validation --------------------------------------------------------
@@ -71,23 +79,24 @@ def test_positive_nu_no_warning():
 def test_accumulate_integer_orders():
     sums = _Sums([MomentOrder(mu=1.0, nu=1.0)], 1)
     sums.add_batch(*frame([3.0], 2.0))
-    assert sums.joint[0, 0] == pytest.approx(6.0)
-    assert sums.bucket[0] == pytest.approx(2.0)
-    assert sums.ref[0, 0] == pytest.approx(3.0)
-    assert sums.joint2[0, 0] == pytest.approx(36.0)
+    joint, joint2, ref, bucket = order_sums(sums)
+    assert joint[0] == pytest.approx(6.0)
+    assert bucket == pytest.approx(2.0)
+    assert ref[0] == pytest.approx(3.0)
+    assert joint2[0] == pytest.approx(36.0)
     assert sums.n == 1
 
 
 def test_accumulate_negative_mu():
     sums = _Sums([MomentOrder(mu=-1.0, nu=1.0)], 1)
     sums.add_batch(*frame([3.0], 2.0))
-    assert sums.joint[0, 0] == pytest.approx(1.5)
+    assert order_sums(sums)[0][0] == pytest.approx(1.5)
 
 
 def test_accumulate_unit_powers():
     sums = _Sums([MomentOrder(mu=0.618, nu=0.5)], 1)
     sums.add_batch(*frame([1.0], 1.0))
-    assert sums.joint[0, 0] == pytest.approx(1.0)
+    assert order_sums(sums)[0][0] == pytest.approx(1.0)
 
 
 def test_power_overflow_raises():
@@ -126,7 +135,7 @@ def test_merge_overflow_raises():
     left, right = _Sums([order], 1), _Sums([order], 1)
     for sums in (left, right):
         sums.add_batch(*frame([1.0], 1e77))
-    assert np.isfinite(left.joint2).all()
+    assert np.isfinite(order_sums(left)[1]).all()
     with pytest.raises(DomainError, match=r"mu=2\.0, nu=0\.5"):
         left.merge(right)
 
@@ -163,10 +172,11 @@ def test_merge_matches_serial(rows, data):
     left.merge(right)
 
     assert left.n == serial.n
-    np.testing.assert_allclose(left.joint, serial.joint, rtol=1e-12)
-    np.testing.assert_allclose(left.joint2, serial.joint2, rtol=1e-12)
-    np.testing.assert_allclose(left.ref, serial.ref, rtol=1e-12)
-    assert left.bucket[0] == pytest.approx(serial.bucket[0], rel=1e-12)
+    (joint, joint2, ref, bucket), expected = order_sums(left), order_sums(serial)
+    np.testing.assert_allclose(joint, expected[0], rtol=1e-12)
+    np.testing.assert_allclose(joint2, expected[1], rtol=1e-12)
+    np.testing.assert_allclose(ref, expected[2], rtol=1e-12)
+    assert bucket == pytest.approx(expected[3], rel=1e-12)
 
 
 def test_merge_shape_mismatch():
@@ -415,7 +425,9 @@ def test_pass_memory_does_not_grow_with_shard_count(monkeypatch, workers):
     units = (np.random.default_rng(5).random(64 * 64) < 0.3).astype(float)
     mask = ObjectMask(width=64, height=64, units=units)
     orders = [MomentOrder(mu, 0.5) for mu in (-2.7183, -1.414, -0.618, 0.618, 1.414, 2.7183)]
-    shard_bytes = (2 * len(orders) + 1) * mask.n * 8  # joint, joint2 and ref sums
+    # 13 pixel rows: the six orders' joint and joint2 rows and one ref row
+    # (a shard's sums are 16, the first and second sums of one 8-row stack)
+    shard_bytes = (2 * len(orders) + 1) * mask.n * 8
     peaks = []
     tracemalloc.start()
     try:

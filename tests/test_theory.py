@@ -85,8 +85,9 @@ def test_moment_domain_errors():
         moments(2, -2.2, 0.1)
     with pytest.raises(DomainError):
         moments(3, 1.0, -1.2)
-    # log Gamma past double range is inf, as in scipy, never an OverflowError
-    with pytest.raises(DomainError, match="degenerate variance"), np.errstate(invalid="ignore"):
+    # log Gamma past double range is inf, as in scipy, never an OverflowError;
+    # the moment is refused before any variance arithmetic runs on it
+    with pytest.raises(DomainError, match="moment overflows a double"), np.errstate(all="raise"):
         predict(20, 1e306, 1.0, 1)
 
 
@@ -224,14 +225,26 @@ def test_predict_refusals_keep_their_messages(args, message):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("mu, nu, i0", [(250.0, 1.0, 1.0), (1.0, 1.0, 1e300), (-19.5, 1.0, 1e-300)])
+@pytest.mark.parametrize("mu, nu, i0", [(250.0, 1.0, 1.0), (1.0, 1.0, 1e300), (-19.5, 1.0, 1e-300),
+                                       (1e308, 1.0, 1.0)])
 def test_predict_refuses_moments_past_a_double(mu, nu, i0):
     # the moments exist but overflow a double: refused with no overflow
-    # warning on the way, where an inf field used to come out
+    # warning on the way, where an inf field used to come out; at mu = 1e308
+    # the log-Gammas are inf too, and no variance arithmetic runs on them
     with pytest.raises(DomainError, match="moment overflows a double"):
         predict(20, mu, nu, 120000, i0)
     # mu = 150 is still finite, about 3e288
     assert math.isfinite(predict(20, 150.0, 1.0, 120000).moment_signal)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu, nu", [(math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0),
+                                    (1.0, math.inf), (1.0, math.nan)])
+def test_predict_refuses_non_finite_orders(mu, nu):
+    # as MomentOrder does, before any existence rule sees them
+    with pytest.raises(DomainError) as err:
+        predict(20, mu, nu, 120000)
+    assert str(err.value) == "orders must be finite"
 
 
 def test_predict_takes_each_log_gamma_once(lgamma_calls):
